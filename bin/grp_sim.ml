@@ -904,7 +904,7 @@ let vanet_cmd =
     let jobs = resolve_jobs jobs in
     let r =
       Vanet.run ~seed ~dmax ~range ~speed ~rounds ~warmup ~oracle ~oracle_every
-        ~naive_graph ~jobs ?shards ~jitter ?profile_out ~scenario ~n ()
+        ~naive_graph ~jobs ?shards ~jitter ?profile_out ~profile ~scenario ~n ()
     in
     if profile then Format.printf "%a@." Vanet.pp_profile r
     else Format.printf "%a@." Vanet.pp_report r;

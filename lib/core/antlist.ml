@@ -1,13 +1,15 @@
 type entry = { id : Node_id.t; mark : Mark.t }
 
+module Itbl = Node_id.Tbl
+
 (* Levels in distance order, each level a sorted-by-id array with unique ids
    within the level (across-level uniqueness is only guaranteed for values
    built by [merge]/[ant], see [well_formed]).  Level arrays are never
    mutated after construction, so suffixes and untouched levels are shared
    freely between values ([merge]/[truncate]/[strip_marked] reuse input
    arrays whenever a pass changes nothing — which is the common case once
-   the protocol has stabilized, and what makes the steady-state equality
-   checks in [Grp_node]'s fold cache O(1) physical comparisons).
+   the protocol has stabilized, and what makes [Grp_node]'s steady-state
+   equality checks O(1) physical comparisons).
 
    Queries that historically rescanned the levels ([find]/[mem], [ids],
    [clear_ids], [entries]) answer from per-value memo caches built on first
@@ -89,13 +91,13 @@ let level_ids t i =
       (fun acc e -> Node_id.Set.add e.id acc)
       Node_id.Set.empty t.lvls.(i)
 
-let total_entries t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.lvls
+let entry_count t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.lvls
 
 let index t =
   match t.cache.index with
   | Some h -> h
   | None ->
-      let h = Hashtbl.create (max 8 (total_entries t)) in
+      let h = Hashtbl.create (max 8 (entry_count t)) in
       Array.iteri
         (fun pos l ->
           Array.iter
@@ -110,14 +112,66 @@ let mem t id = Hashtbl.mem (index t) id
 
 let fold_entries t ~init ~f =
   let acc = ref init in
-  Array.iteri
-    (fun pos l -> Array.iter (fun e -> acc := f !acc e.id pos e.mark) l)
-    t.lvls;
+  let lvls = t.lvls in
+  for pos = 0 to Array.length lvls - 1 do
+    let l = lvls.(pos) in
+    for j = 0 to Array.length l - 1 do
+      let e = l.(j) in
+      acc := f !acc e.id pos e.mark
+    done
+  done;
   !acc
 
 let fold_level t i ~init ~f =
   if i < 0 || i >= Array.length t.lvls then init
   else Array.fold_left (fun acc e -> f acc e.id e.mark) init t.lvls.(i)
+
+(* Binary search of one sorted level; the index of [id] or -1. *)
+let search l id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = Node_id.compare l.(mid).id id in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length l)
+
+(* Preallocated results, so [mark_at] never allocates. *)
+let some_clear = Some Mark.Clear
+let some_single = Some Mark.Single
+let some_double = Some Mark.Double
+
+let mark_at t i id =
+  if i < 0 || i >= Array.length t.lvls then None
+  else
+    let l = t.lvls.(i) in
+    let j = search l id in
+    if j < 0 then None
+    else
+      match l.(j).mark with
+      | Mark.Clear -> some_clear
+      | Mark.Single -> some_single
+      | Mark.Double -> some_double
+
+let mem_clear t id =
+  let lvls = t.lvls in
+  let rec go i =
+    i < Array.length lvls
+    &&
+    let j = search lvls.(i) id in
+    (j >= 0 && lvls.(i).(j).mark = Mark.Clear) || go (i + 1)
+  in
+  go 0
+
+let first_level t id =
+  let lvls = t.lvls in
+  let rec go i =
+    if i >= Array.length lvls then -1
+    else if search lvls.(i) id >= 0 then i
+    else go (i + 1)
+  in
+  go 0
 
 let level_size t i =
   if i < 0 || i >= Array.length t.lvls then 0 else Array.length t.lvls.(i)
@@ -251,37 +305,19 @@ let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t.lvls
    the shift: [merge_off 1 a b] is [a ⊕ r(b)], the [ant] fold step, minus
    one array copy per application.
 
-   The first-occurrence set is a flat linear-scan buffer for the list
-   sizes the protocol actually produces (a handful of levels of a handful
-   of entries), falling back to a hashtable for the large lists the
-   scalability workloads build — allocating and hashing dominated the old
-   implementation on the common small case. *)
+   [compute] folds with the one-pass folder below instead; [merge] and
+   [ant] are the paper's operators and the reference the folder is tested
+   against. *)
 let merge_off off a b =
   let la = a.lvls and lb = b.lvls in
   let na = Array.length la and nb = Array.length lb in
   let n = max na (if nb = 0 then 0 else nb + off) in
-  let total = total_entries a + total_entries b in
-  let fresh =
-    if total > 48 then begin
-      let tbl = Hashtbl.create total in
-      fun id ->
-        if Hashtbl.mem tbl id then false
-        else begin
-          Hashtbl.replace tbl id ();
-          true
-        end
-    end
+  let seen = Itbl.create (entry_count a + entry_count b) in
+  let fresh id =
+    if Itbl.mem seen id then false
     else begin
-      let buf = Array.make (max total 1) 0 in
-      let cnt = ref 0 in
-      fun id ->
-        let rec dup i = i < !cnt && (buf.(i) = id || dup (i + 1)) in
-        if dup 0 then false
-        else begin
-          buf.(!cnt) <- id;
-          incr cnt;
-          true
-        end
+      Itbl.replace seen id ();
+      true
     end
   in
   let pred e = fresh e.id in
@@ -358,6 +394,156 @@ let shift t =
 
 let ant l1 l2 = merge_off 1 l1 l2
 
+(* The one-pass ant fold.  [fold_add] applies [acc := ant acc l] to an
+   accumulator kept as id -> (level, entry) slots instead of a list, so a
+   fold over k neighbor lists builds one result instead of k intermediate
+   ones.  The chain's semantics carry over exactly: an id lands at its
+   minimum level (the first-occurrence filter walks levels in order); an
+   id the accumulator and [l] hold at the same level takes the most severe
+   mark (the positionwise union); and after each list the accumulator is
+   cut at its first empty level (a level emptied by the deduplication
+   truncates [merge]).  An id of [l] already present at a level no deeper
+   than its shifted one is dropped — that covers both the accumulator's
+   closer entries and [l]'s own duplicates across levels, because [l]'s
+   levels are visited in order and an id is unique within a level.
+
+   Slots are appended and never reused within a fold: a truncation marks
+   the cut slots dead (level -1) and forgets their ids, and a later list
+   re-adding such an id gets a fresh slot.  The scratch is cleared, not
+   re-created, per fold and grows only to the largest fold seen, so it is
+   sized by neighbourhood list sizes.  One folder per domain
+   ([Domain.DLS]): folds never nest, and sharded runs fold on several
+   domains at once. *)
+type folder = {
+  slot_of : int Itbl.t;  (* live id -> slot *)
+  mutable slot_lvl : int array;  (* level of the slot, -1 when cut *)
+  mutable slot_e : entry array;  (* the entry (id and mark) of the slot *)
+  mutable slots : int;
+  mutable cnt : int array;  (* live slots per level; 0 at and past [nlev] *)
+  mutable nlev : int;
+}
+
+let dummy = { id = 0; mark = Mark.Clear }
+
+let new_folder () =
+  {
+    slot_of = Itbl.create 64;
+    slot_lvl = Array.make 64 0;
+    slot_e = Array.make 64 dummy;
+    slots = 0;
+    cnt = Array.make 8 0;
+    nlev = 0;
+  }
+
+let folder_key = Domain.DLS.new_key new_folder
+let folder () = Domain.DLS.get folder_key
+
+let add_slot f e lvl =
+  let cap = Array.length f.slot_lvl in
+  if f.slots = cap then begin
+    let lv = Array.make (2 * cap) 0 and es = Array.make (2 * cap) dummy in
+    Array.blit f.slot_lvl 0 lv 0 cap;
+    Array.blit f.slot_e 0 es 0 cap;
+    f.slot_lvl <- lv;
+    f.slot_e <- es
+  end;
+  let s = f.slots in
+  f.slot_lvl.(s) <- lvl;
+  f.slot_e.(s) <- e;
+  f.slots <- s + 1;
+  Itbl.replace f.slot_of e.id s;
+  f.cnt.(lvl) <- f.cnt.(lvl) + 1
+
+let fold_start f self =
+  Itbl.clear f.slot_of;
+  Array.fill f.cnt 0 f.nlev 0;
+  f.slots <- 0;
+  f.nlev <- 1;
+  add_slot f { id = self; mark = Mark.Clear } 0
+
+let fold_add f b =
+  let lb = b.lvls in
+  let nb = Array.length lb in
+  if nb > 0 then begin
+    let n = max f.nlev (nb + 1) in
+    if n > Array.length f.cnt then begin
+      let c = Array.make (max n (2 * Array.length f.cnt)) 0 in
+      Array.blit f.cnt 0 c 0 f.nlev;
+      f.cnt <- c
+    end;
+    for j = 0 to nb - 1 do
+      let lvl = j + 1 in
+      let l = lb.(j) in
+      for k = 0 to Array.length l - 1 do
+        let e = l.(k) in
+        match Itbl.find f.slot_of e.id with
+        | s ->
+            let sl = f.slot_lvl.(s) in
+            if sl = lvl then begin
+              (* [Mark.max] returns one of its arguments: when it is not
+                 the current mark, [e] itself is the merged entry. *)
+              let cur = f.slot_e.(s) in
+              if Mark.max cur.mark e.mark != cur.mark then f.slot_e.(s) <- e
+            end
+            else if sl > lvl then begin
+              f.cnt.(sl) <- f.cnt.(sl) - 1;
+              f.cnt.(lvl) <- f.cnt.(lvl) + 1;
+              f.slot_lvl.(s) <- lvl;
+              f.slot_e.(s) <- e
+            end
+        | exception Not_found -> add_slot f e lvl
+      done
+    done;
+    let cut = ref n in
+    for i = n - 1 downto 0 do
+      if f.cnt.(i) = 0 then cut := i
+    done;
+    let cut = !cut in
+    if cut < n then
+      for s = 0 to f.slots - 1 do
+        if f.slot_lvl.(s) >= cut then begin
+          Itbl.remove f.slot_of f.slot_e.(s).id;
+          f.slot_lvl.(s) <- -1
+        end
+      done;
+    Array.fill f.cnt cut (n - cut) 0;
+    f.nlev <- cut
+  end
+
+(* In-place insertion sort by id: output levels are a handful of entries,
+   where it beats the generic heap sort; the heap sort takes the rare
+   large level. *)
+let sort_level l =
+  let n = Array.length l in
+  if n > 32 then Array.sort (fun x y -> Node_id.compare x.id y.id) l
+  else
+    for i = 1 to n - 1 do
+      let e = l.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && Node_id.compare l.(!j).id e.id > 0 do
+        l.(!j + 1) <- l.(!j);
+        decr j
+      done;
+      l.(!j + 1) <- e
+    done
+
+let fold_finish f =
+  let nlev = f.nlev in
+  let lvls = Array.init nlev (fun i -> Array.make f.cnt.(i) dummy) in
+  (* [cnt] doubles as the fill cursor, counting back down to 0 — which
+     also restores the cleared-past-[nlev] invariant for the next fold. *)
+  for s = 0 to f.slots - 1 do
+    let lvl = f.slot_lvl.(s) in
+    if lvl >= 0 then begin
+      let c = f.cnt.(lvl) - 1 in
+      lvls.(lvl).(c) <- f.slot_e.(s);
+      f.cnt.(lvl) <- c
+    end
+  done;
+  f.nlev <- 0;
+  Array.iter sort_level lvls;
+  mk lvls
+
 let truncate t k =
   let n = Array.length t.lvls in
   if k = 0 then empty else if k < 0 || k >= n then t else mk (Array.sub t.lvls 0 k)
@@ -392,7 +578,7 @@ let restrict_clear t =
    occurrence index covers every entry. *)
 let well_formed t =
   (not (has_empty_level t))
-  && Hashtbl.length (index t) = total_entries t
+  && Hashtbl.length (index t) = entry_count t
   && begin
        let ok = ref true in
        Array.iteri
@@ -405,7 +591,8 @@ let well_formed t =
 
 (* Same order as [Stdlib.compare] over the historical
    list-of-levels-of-(id, mark) key: levels lexicographically, entries
-   within a level lexicographically, a missing level/entry sorting first. *)
+   within a level lexicographically, a missing level/entry sorting first.
+   Marks compare by severity, which is their constructor order. *)
 let compare a b =
   if a == b then 0
   else begin
@@ -424,7 +611,13 @@ let compare a b =
           else if j >= m2 then 1
           else begin
             let e1 = l1.(j) and e2 = l2.(j) in
-            let c = Stdlib.compare (e1.id, e1.mark) (e2.id, e2.mark) in
+            let c =
+              if e1 == e2 then 0
+              else
+                match Node_id.compare e1.id e2.id with
+                | 0 -> Mark.compare e1.mark e2.mark
+                | c -> c
+            in
             if c <> 0 then c else go_entry (j + 1)
           end
         in

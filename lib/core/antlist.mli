@@ -69,6 +69,27 @@ val fold_level : t -> int -> init:'a -> f:('a -> Node_id.t -> Mark.t -> 'a) -> '
 (** Allocation-free fold over one level in id order — the hot-path
     replacement for [level] (which materializes an entry list per call). *)
 
+val mark_at : t -> int -> Node_id.t -> Mark.t option
+(** Mark of [id] in level [i] (binary search of the sorted level, no
+    allocation); [None] when absent or out of range.  Exact on any list,
+    including ones with an id at several levels. *)
+
+val mem_clear : t -> Node_id.t -> bool
+(** Some occurrence of the id, at any level, is unmarked — one binary
+    search per level, no memo cache. *)
+
+val first_level : t -> Node_id.t -> int
+(** Level of the id's first (closest) occurrence, whatever its mark; -1
+    when absent.  The allocation-free counterpart of {!find}'s position. *)
+
+val entry_count : t -> int
+(** Total number of entries over all levels. *)
+
+val fold_entries :
+  t -> init:'a -> f:('a -> Node_id.t -> int -> Mark.t -> 'a) -> 'a
+(** Fold over [(id, position, mark)] in {!entries} order, without
+    materializing the entry list. *)
+
 val mem : t -> Node_id.t -> bool
 
 val find : t -> Node_id.t -> (int * Mark.t) option
@@ -102,6 +123,23 @@ val shift : t -> t
 
 val ant : t -> t -> t
 (** [ant l1 l2 = merge l1 (shift l2)]. *)
+
+(** {2 One-pass ant fold}
+
+    [fold_start f v; fold_add f l1; ...; fold_add f lk; fold_finish f]
+    is [List.fold_left ant (singleton v) [l1; ...; lk]], built in one pass
+    over a reused id -> level table: no intermediate list per [ant]
+    application.  A folder is domain-local scratch, cleared per fold. *)
+
+type folder
+
+val folder : unit -> folder
+(** The calling domain's folder.  Folds on one domain must not
+    interleave. *)
+
+val fold_start : folder -> Node_id.t -> unit
+val fold_add : folder -> t -> unit
+val fold_finish : folder -> t
 
 val truncate : t -> int -> t
 (** Keep the first [k] levels (paper line 28). *)

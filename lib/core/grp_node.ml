@@ -2,6 +2,38 @@ module Trace = Dgs_trace.Trace
 module Registry = Dgs_metrics.Registry
 module Names = Dgs_metrics.Names
 
+(* Int-keyed tables: monomorphic hashing and equality on the hot path. *)
+module Itbl = Node_id.Tbl
+
+(* Per-domain scratch of [compute] (sharded runs compute on several
+   domains at once), cleared, not re-created, per use and grown only to
+   the largest neighbourhood seen — never sized by the network. *)
+type scratch = {
+  my_level : int Itbl.t;
+  (* An id collection buffer, read out as a sorted array. *)
+  mutable buf : Node_id.t array;
+  mutable len : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { my_level = Itbl.create 64; buf = Array.make 64 0; len = 0 })
+
+let buf_push sc v =
+  if sc.len = Array.length sc.buf then begin
+    let b = Array.make (2 * sc.len) 0 in
+    Array.blit sc.buf 0 b 0 sc.len;
+    sc.buf <- b
+  end;
+  sc.buf.(sc.len) <- v;
+  sc.len <- sc.len + 1
+
+(* The collected ids, sorted and deduplicated; empties the buffer. *)
+let buf_sorted sc =
+  let a = Node_id.sorted_of_prefix sc.buf sc.len in
+  sc.len <- 0;
+  a
+
 (* Handles resolved once at node creation; on [Registry.null] every field
    is inert and each use below is one load + branch (the [Trace.null]
    discipline).  Derived work — diffing quarantine tables, counting view
@@ -9,7 +41,6 @@ module Names = Dgs_metrics.Names
 type metrics = {
   m_on : bool;
   m_compute : Registry.Counter.t;
-  m_cache_hit : Registry.Counter.t;
   m_cache_miss : Registry.Counter.t;
   m_ant_merge : Registry.Counter.t;
   m_restrict : Registry.Counter.t;
@@ -23,14 +54,38 @@ type metrics = {
   m_view_remove : Registry.Counter.t;
   m_view_size : Registry.Hist.t;
   m_compute_ns : Registry.Timer.t;
-  m_fold_ns : Registry.Timer.t;
+  (* Sub-phase profile, indexed by the [ph_*] constants below (the order
+     of [Names.compute_phases]): wall clock (the fold's slot is
+     [grp_fold_ns]) and minor words allocated. *)
+  m_phase_ns : Registry.Timer.t array;
+  m_phase_words : Registry.Timer.t array;
 }
 
+let ph_ingest = 0
+let ph_gate = 1
+let ph_check_each = 2
+let ph_cross_check = 3
+let ph_fold = 4
+let ph_contest = 5
+let ph_view = 6
+
+(* The inert handles every node of an unmetered run shares: resolving
+   labelled names per node would put string building into set-up. *)
+let null_phase_timers =
+  Array.make (List.length Names.compute_phases) (Registry.timer Registry.null Names.grp_phase_ns)
+
+let phase_timers reg series =
+  if not (Registry.enabled reg) then null_phase_timers
+  else Array.of_list (List.map (fun p -> Registry.timer reg (series p)) Names.compute_phases)
+
 let metrics_of reg =
+  (* Without a fold cache every compute counts as a miss; the hit series
+     stays registered, at 0, so snapshots keep the cache_hit + cache_miss
+     = compute invariant their readers check. *)
+  ignore (Registry.counter reg Names.grp_compute_cache_hit_total);
   {
     m_on = Registry.enabled reg;
     m_compute = Registry.counter reg Names.grp_compute_total;
-    m_cache_hit = Registry.counter reg Names.grp_compute_cache_hit_total;
     m_cache_miss = Registry.counter reg Names.grp_compute_cache_miss_total;
     m_ant_merge = Registry.counter reg Names.grp_ant_merge_total;
     m_restrict = Registry.counter reg Names.grp_restrict_clear_total;
@@ -44,8 +99,20 @@ let metrics_of reg =
     m_view_remove = Registry.counter reg Names.grp_view_remove_total;
     m_view_size = Registry.histogram reg Names.grp_view_size;
     m_compute_ns = Registry.timer reg Names.grp_compute_ns;
-    m_fold_ns = Registry.timer reg Names.grp_fold_ns;
+    m_phase_ns = phase_timers reg Names.phase_ns;
+    m_phase_words = phase_timers reg Names.phase_words;
   }
+
+(* Sub-phase brackets: a phase opens with [Registry.Timer.start] and
+   [minor_words], and [phase_stop] records both deltas.  Disabled, the
+   words read is skipped and the timer calls are the usual load +
+   branch. *)
+let minor_words m = if m.m_on then int_of_float (Gc.minor_words ()) else 0
+
+let phase_stop m ph t0 w0 =
+  Registry.Timer.stop m.m_phase_ns.(ph) t0;
+  if m.m_on then
+    Registry.Timer.record m.m_phase_words.(ph) (float_of_int (minor_words m - w0))
 
 type t = {
   id : Node_id.t;
@@ -68,13 +135,13 @@ type t = {
   (* sender -> lineage of the message [ingest] kept from it this compute.
      Reset and filled only under an enabled trace sink; an untraced run
      never touches it. *)
-  msg_lid : (Node_id.t, int) Hashtbl.t;
+  msg_lid : int Itbl.t;
   mutable quarantine : int Node_id.Map.t;
   mutable view : Node_id.Set.t;
   (* Reusable across computes: [merge_priority_tables] clears and refills
      it instead of rebuilding a persistent map.  Every consumer reads it
      by key, so the unordered representation is unobservable. *)
-  prio_table : (Node_id.t, Priority.t) Hashtbl.t;
+  prio_table : Priority.t Itbl.t;
   mutable own_priority : Priority.t;
   (* Membership re-validation testimony: sender -> (consecutive exclusion
      reports, computes since the last one).  See [update_conflicts]. *)
@@ -90,16 +157,6 @@ type t = {
   (* Computes during which the own oldness is frozen after this node's
      priority defended a pairing in a too-far contest. *)
   mutable oldness_hold : int;
-  (* Dirty-neighbor cache over the ant fold: the checked input map of the
-     previous compute and the list it folded to.  The fold is a pure
-     function of that map (plus the constant own id), so when no checked
-     input changed since the last fire — every round of the stabilized
-     phase, where senders re-advertise structurally identical lists — the
-     merge pipeline is skipped entirely.  Structural sharing in [Antlist]
-     keeps a quiescent node's list physically stable across rounds, which
-     collapses the map comparison to pointer checks.  See DESIGN.md
-     Section 9. *)
-  mutable fold_cache : (Antlist.t Node_id.Map.t * Antlist.t) option;
 }
 
 type step_info = {
@@ -112,8 +169,8 @@ type step_info = {
 
 let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
   let own_priority = Priority.initial id in
-  let prio_table = Hashtbl.create 16 in
-  Hashtbl.replace prio_table id own_priority;
+  let prio_table = Itbl.create 16 in
+  Itbl.replace prio_table id own_priority;
   {
     id;
     config;
@@ -124,7 +181,7 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     inbox_n = 0;
     inbox_lid = [||];
     msg_set = Node_id.Map.empty;
-    msg_lid = Hashtbl.create 16;
+    msg_lid = Itbl.create 16;
     quarantine = Node_id.Map.singleton id 0;
     view = Node_id.Set.singleton id;
     prio_table;
@@ -133,7 +190,6 @@ let create ~config ?(trace = Trace.null) ?(metrics = Registry.null) id =
     starve = Node_id.Map.empty;
     contest_hold = Node_id.Map.empty;
     oldness_hold = 0;
-    fold_cache = None;
   }
 
 let id t = t.id
@@ -143,7 +199,7 @@ let antlist t = t.antlist
 let own_priority t = t.own_priority
 let quarantine_of t v = Node_id.Map.find_opt v t.quarantine
 let quarantines t = t.quarantine
-let known_priority t v = Hashtbl.find_opt t.prio_table v
+let known_priority t v = Itbl.find_opt t.prio_table v
 
 let pending_senders t =
   let acc = ref Node_id.Set.empty in
@@ -155,9 +211,9 @@ let pending_senders t =
 let group_priority t =
   Node_id.Set.fold
     (fun member acc ->
-      match Hashtbl.find_opt t.prio_table member with
-      | None -> acc
-      | Some p -> Priority.min p acc)
+      match Itbl.find t.prio_table member with
+      | p -> Priority.min p acc
+      | exception Not_found -> acc)
     t.view t.own_priority
 
 (* [lid] is a required labelled int on purpose: an optional argument
@@ -193,13 +249,13 @@ let receive t msg = receive_lid t ~lid:(-1) msg
    the length is reset. *)
 let ingest t =
   let tracing = Trace.enabled t.trace in
-  if tracing then Hashtbl.reset t.msg_lid;
+  if tracing then Itbl.reset t.msg_lid;
   let m = ref t.msg_set in
   for i = t.inbox_n - 1 downto 0 do
     let msg = t.inbox.(i) in
     if not (Node_id.Map.mem msg.Message.sender !m) then begin
       m := Node_id.Map.add msg.Message.sender msg !m;
-      if tracing then Hashtbl.replace t.msg_lid msg.Message.sender t.inbox_lid.(i)
+      if tracing then Itbl.replace t.msg_lid msg.Message.sender t.inbox_lid.(i)
     end
   done;
   t.msg_set <- !m;
@@ -208,7 +264,7 @@ let ingest t =
 (* Lineage of the message [ingest] kept from [sender] this compute; -1
    when it sent nothing (or tracing is off).  Trace-branch only. *)
 let lid_of_sender t sender =
-  match Hashtbl.find_opt t.msg_lid sender with Some l -> l | None -> -1
+  match Itbl.find t.msg_lid sender with l -> l | exception Not_found -> -1
 
 (* The priority table is rebuilt from scratch out of the current round's
    reports: among gossiped entries the larger oldness wins (oldness only
@@ -225,30 +281,26 @@ let lid_of_sender t sender =
 let merge_priority_tables t =
   let clock = ref 0 in
   let table = t.prio_table in
-  Hashtbl.clear table;
-  Hashtbl.replace table t.id t.own_priority;
+  Itbl.clear table;
+  Itbl.replace table t.id t.own_priority;
   Node_id.Map.iter
     (fun _ msg ->
       Node_id.Map.iter
         (fun v p ->
           if p.Priority.oldness > !clock then clock := p.Priority.oldness;
           if not (Node_id.equal v t.id) then
-            match Hashtbl.find table v with
-            | q -> if q.Priority.oldness < p.Priority.oldness then Hashtbl.replace table v p
-            | exception Not_found -> Hashtbl.replace table v p)
+            match Itbl.find table v with
+            | q -> if q.Priority.oldness < p.Priority.oldness then Itbl.replace table v p
+            | exception Not_found -> Itbl.replace table v p)
         msg.Message.priorities)
     t.msg_set;
   Node_id.Map.iter
     (fun sender msg ->
       match Node_id.Map.find sender msg.Message.priorities with
-      | p -> Hashtbl.replace table sender p
+      | p -> Itbl.replace table sender p
       | exception Not_found -> ())
     t.msg_set;
   !clock
-
-let clear_level_ids lst i =
-  Antlist.fold_level lst i ~init:Node_id.Set.empty ~f:(fun acc id mark ->
-      if mark = Mark.Clear then Node_id.Set.add id acc else acc)
 
 let good_list t ~sender lst =
   (* The sender's list is usable when it acknowledges me: unmarked or
@@ -259,15 +311,14 @@ let good_list t ~sender lst =
      member whenever mobility creates a fresh direct link between two
      group-mates (DESIGN.md Section 5). *)
   let self_ok =
-    Antlist.fold_level lst 1 ~init:false ~f:(fun acc id mark ->
-        acc || (Node_id.equal id t.id && mark <> Mark.Double))
-    || List.exists
-         (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-         (Antlist.entries lst)
+    (match Antlist.mark_at lst 1 t.id with
+    | Some (Mark.Clear | Mark.Single) -> true
+    | Some Mark.Double | None -> false)
+    || Antlist.mem_clear lst t.id
   in
   self_ok
   && Antlist.level_size lst 0 = 1
-  && Antlist.fold_level lst 0 ~init:false ~f:(fun _ id _ -> Node_id.equal id sender)
+  && (match Antlist.mark_at lst 0 sender with Some _ -> true | None -> false)
   && Antlist.clear_size lst <= t.config.Config.dmax + 1
   && not (Antlist.has_empty_level lst)
 
@@ -281,20 +332,19 @@ let good_list t ~sender lst =
    the too-far contest and by joint admission instead (DESIGN.md
    Section 5). *)
 
-(* Established nodes: my view plus every view advertised in msgSet. *)
+(* Established nodes: my view plus every view advertised in msgSet, as a
+   sorted id array (it is only probed, never enumerated). *)
 let established_set t =
-  Node_id.Map.fold
-    (fun _ msg acc -> Node_id.Set.union msg.Message.view acc)
-    t.msg_set t.view
+  let sc = Domain.DLS.get scratch_key in
+  Node_id.Set.iter (buf_push sc) t.view;
+  Node_id.Map.iter (fun _ msg -> Node_id.Set.iter (buf_push sc) msg.Message.view) t.msg_set;
+  buf_sorted sc
 
 (* Extent of my established group: farthest established clear node in my
    current list. *)
 let established_extent t ~established =
-  List.fold_left
-    (fun acc (v, pos, mark) ->
-      if mark = Mark.Clear && Node_id.Set.mem v established then max acc pos else acc)
-    0
-    (Antlist.entries t.antlist)
+  Antlist.fold_entries t.antlist ~init:0 ~f:(fun acc v pos mark ->
+      if mark = Mark.Clear && Node_id.mem_sorted established v then max acc pos else acc)
 
 (* Extent of the sender's established group beyond mine: farthest of the
    sender's view members, at its position in the sender's list, that I do
@@ -307,8 +357,7 @@ let foreign_view_extent t ~sender_view lst =
      foreign member" without materializing the position list. *)
   let my_ids = Antlist.ids t.antlist in
   let best =
-    List.fold_left
-      (fun best (v, pos, mark) ->
+    Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
         if
           mark = Mark.Clear
           && Node_id.Set.mem v sender_view
@@ -316,7 +365,6 @@ let foreign_view_extent t ~sender_view lst =
           && not (Node_id.Set.mem v my_ids)
         then max best pos
         else best)
-      (-1) (Antlist.entries lst)
   in
   if best < 0 then None else Some best
 
@@ -343,19 +391,24 @@ let compatible_list_env t ~env ~sender_view lst =
            the sender is adjacent to the whole level i of our list, so the
            far side of our group reaches it in p-i+1+q hops and the near
            side in i/2+q+1 hops; both must fit (see the .mli note). *)
-        let list1 = Antlist.level_ids lst 1 in
+        (* Level i's established clear members form a non-empty subset of
+           the sender's level 1: one pass over my level, binary searches
+           into the sender's. *)
+        let adjacent_to_level i =
+          let some = ref false and all_in = ref true in
+          Antlist.fold_level t.antlist i ~init:() ~f:(fun () v mark ->
+              if mark = Mark.Clear && Node_id.mem_sorted established v then begin
+                some := true;
+                match Antlist.mark_at lst 1 v with
+                | None -> all_in := false
+                | Some _ -> ()
+              end);
+          !some && !all_in
+        in
         let rec scan i =
           if i > p then false
           else
-            let li =
-              Node_id.Set.filter
-                (fun v -> Node_id.Set.mem v established)
-                (clear_level_ids t.antlist i)
-            in
-            ((not (Node_id.Set.is_empty li))
-            && Node_id.Set.subset li list1
-            && p - i + 1 + q <= dmax
-            && (i / 2) + q + 1 <= dmax)
+            (p - i + 1 + q <= dmax && (i / 2) + q + 1 <= dmax && adjacent_to_level i)
             || scan (i + 1)
         in
         scan 1
@@ -402,20 +455,9 @@ let check_each_incoming t =
          me as a group member over symmetric paths, which is as good an
          acknowledgment as the level-1 handshake (DESIGN.md Section 5). *)
       let my_mark =
-        match
-          List.find_map
-            (fun e ->
-              if Node_id.equal e.Antlist.id t.id then Some e.Antlist.mark else None)
-            (Antlist.level raw 1)
-        with
-        | Some m -> Some m
-        | None ->
-            if
-              List.exists
-                (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-                (Antlist.entries raw)
-            then Some Mark.Clear
-            else None
+        match Antlist.mark_at raw 1 t.id with
+        | Some _ as m -> m
+        | None -> if Antlist.mem_clear raw t.id then Some Mark.Clear else None
       in
       let incompatible () =
         (not (same_group t sender msg))
@@ -460,9 +502,10 @@ let cross_check t checked =
      replaced by a marked singleton) are not being admitted, so they
      neither need joint clearance nor may veto anybody else. *)
   let rejected lst sender =
-    match Antlist.entries lst with
-    | [ (v, 0, mark) ] -> Node_id.equal v sender && Mark.is_marked mark
-    | _ -> false
+    Antlist.entry_count lst = 1
+    && match Antlist.mark_at lst 0 sender with
+       | Some m -> Mark.is_marked m
+       | None -> false
   in
   let mates sender =
     match Node_id.Map.find_opt sender t.msg_set with
@@ -473,8 +516,8 @@ let cross_check t checked =
     Node_id.Map.fold
       (fun sender lst (in_view, fresh) ->
         if rejected lst sender then (in_view, fresh)
-        else if mates sender then ((sender, lst) :: in_view, fresh)
-        else (in_view, (sender, lst) :: fresh))
+        else if mates sender then (sender :: in_view, fresh)
+        else (in_view, sender :: fresh))
       checked ([], [])
   in
   match fresh with
@@ -485,6 +528,7 @@ let cross_check t checked =
          this skips the whole joint-extent machinery on the common path. *)
       checked
   | _ :: _ ->
+  let sc = Domain.DLS.get scratch_key in
   let my_ids = Node_id.Set.add t.id t.view in
   (* The foreign group a sender brings: the clear members of its own view,
      minus the established members we already hold.  "Hold" means the
@@ -495,19 +539,15 @@ let cross_check t checked =
      when the next admission race begins (the 6-path bridge livelock).
      Speculative list entries outside the sender's view are ignored
      here; individual checks and the too-far contest police those. *)
-  (* First usable (non-Double) occurrence of each id in my list, built once
-     per cross check — [my_level] runs per foreign entry, and the per-call
-     list scan it replaces was quadratic in the list size. *)
-  let my_level_tbl =
-    lazy
-      (let h = Hashtbl.create 16 in
-       List.iter
-         (fun (u, pos, mark) ->
-           if mark <> Mark.Double && not (Hashtbl.mem h u) then Hashtbl.add h u pos)
-         (Antlist.entries t.antlist);
-       h)
-  in
-  let my_level v = Hashtbl.find_opt (Lazy.force my_level_tbl) v in
+  (* First usable (non-Double) occurrence of each id in my list, filled
+     once per cross check into the domain's scratch table — [my_level]
+     runs per foreign entry. *)
+  let my_level_tbl = sc.my_level in
+  Itbl.clear my_level_tbl;
+  Antlist.fold_entries t.antlist ~init:() ~f:(fun () u pos mark ->
+      if mark <> Mark.Double && not (Itbl.mem my_level_tbl u) then
+        Itbl.replace my_level_tbl u pos);
+  let my_level v = match Itbl.find my_level_tbl v with l -> l | exception Not_found -> -1 in
   let foreign_part sender =
     match Node_id.Map.find_opt sender t.msg_set with
     | None -> None
@@ -529,58 +569,61 @@ let cross_check t checked =
            (the lockstep grid3x3 cycle).  Genuinely off-board meetings are
            strictly shorter than the me-route and survive the filter.
 
-           Reach set and extent are accumulated in the one pass over the
-           sender's entries (this runs per sender per compute, and the
-           intermediate foreign/position lists it used to build were a top
-           allocation site); -1 encodes "no established foreign member". *)
-        let sender_level_of_me =
-          (* [Antlist.find] answers from the memoized first-occurrence
-             index — the same closest-position answer the entries scan
-             gave, without materializing the entry list. *)
-          match Antlist.find msg.Message.antlist t.id with
-          | Some (pos, _) -> Some pos
-          | None -> None
+           Reach ids go to the scratch buffer in the one pass over the
+           sender's entries and leave it as a sorted array, so the overlap
+           tests below are two-pointer scans; -1 encodes "no established
+           foreign member". *)
+        let lst = msg.Message.antlist in
+        let sender_level_of_me = Antlist.first_level lst t.id in
+        let ext =
+          Antlist.fold_entries lst ~init:(-1) ~f:(fun ext v pos mark ->
+              if mark = Mark.Double || Node_id.Set.mem v my_ids then ext
+              else begin
+                let echo =
+                  sender_level_of_me >= 0
+                  &&
+                  let lv = my_level v in
+                  lv >= 0 && pos >= sender_level_of_me + lv
+                in
+                if not echo then buf_push sc v;
+                if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then max ext pos
+                else ext
+              end)
         in
-        let echo v pos =
-          match (sender_level_of_me, my_level v) with
-          | Some mp, Some lv -> pos >= mp + lv
-          | _ -> false
-        in
-        let reach = ref Node_id.Set.empty in
-        let ext = ref (-1) in
-        List.iter
-          (fun (v, pos, mark) ->
-            if mark <> Mark.Double && not (Node_id.Set.mem v my_ids) then begin
-              if not (echo v pos) then reach := Node_id.Set.add v !reach;
-              if mark = Mark.Clear && Node_id.Set.mem v msg.Message.view then
-                ext := max !ext pos
-            end)
-          (Antlist.entries msg.Message.antlist);
-        if !ext < 0 then None else Some (!reach, max !ext 0)
+        if ext < 0 then begin
+          sc.len <- 0;
+          None
+        end
+        else Some (buf_sorted sc, ext)
   in
-  let order_key sender =
-    match Node_id.Map.find_opt sender t.msg_set with
-    | Some msg -> (msg.Message.group_priority, sender)
-    | None -> (Priority.lowest, sender)
-  in
+  (* New senders are vetted oldest group first: (group priority, id),
+     keys read once. *)
   let fresh =
-    List.sort (fun (a, _) (b, _) -> compare (order_key a) (order_key b)) fresh
+    List.sort
+      (fun (pa, a) (pb, b) ->
+        match Priority.compare pa pb with 0 -> Node_id.compare a b | c -> c)
+      (List.map
+         (fun sender ->
+           match Node_id.Map.find_opt sender t.msg_set with
+           | Some msg -> (msg.Message.group_priority, sender)
+           | None -> (Priority.lowest, sender))
+         fresh)
   in
   let dmax = t.config.Config.dmax in
   let accepted = ref [] in
   List.iter
-    (fun (sender, _) ->
+    (fun sender ->
       match foreign_part sender with
       | None -> ()
       | Some fp -> accepted := fp :: !accepted)
     in_view;
   List.fold_left
-    (fun checked (sender, _) ->
+    (fun checked (_, sender) ->
       match foreign_part sender with
       | None -> checked
       | Some (ids, ext) ->
           let compatible_with (ids', ext') =
-            (not (Node_id.Set.disjoint ids ids')) || ext + ext' + 2 <= dmax
+            ext + ext' + 2 <= dmax || not (Node_id.disjoint_sorted ids ids')
           in
           if List.for_all compatible_with !accepted then (
             accepted := (ids, ext) :: !accepted;
@@ -589,13 +632,14 @@ let cross_check t checked =
             Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double) checked)
     checked fresh
 
-let check_incoming t =
-  let checked = check_each_incoming t in
-  if t.config.Config.joint_admission_enabled then cross_check t checked else checked
-
+(* [List.fold_left Antlist.ant (singleton me)] over the checked lists in
+   sender order, in one pass over the domain's folder (Antlist). *)
 let fold_ant t lists =
   Registry.Counter.add t.metrics.m_ant_merge (Node_id.Map.cardinal lists);
-  Node_id.Map.fold (fun _ lst acc -> Antlist.ant acc lst) lists (Antlist.singleton t.id)
+  let f = Antlist.folder () in
+  Antlist.fold_start f t.id;
+  Node_id.Map.iter (fun _ lst -> Antlist.fold_add f lst) lists;
+  Antlist.fold_finish f
 
 (* Priority contest against the too-far node w: w's node priority against
    the priority of the local group — the strongest (minimal) priority
@@ -621,17 +665,17 @@ let fold_ant t lists =
    freeze into a stable Pi-A violation.  There the defender falls back
    to its own node priority, which keeps such disagreements churning
    until they dissolve one way or the other.  See DESIGN.md Section 5. *)
-let defense_priority t ~providers =
-  if Node_id.Set.disjoint providers t.view then group_priority t
-  else t.own_priority
-
-let too_far_priority t ~w ~providers =
+let too_far_priority t ~group_priority ~w ~providers =
   let pw =
-    match Hashtbl.find_opt t.prio_table w with
-    | Some p -> p
-    | None -> Priority.lowest
+    match Itbl.find t.prio_table w with
+    | p -> p
+    | exception Not_found -> Priority.lowest
   in
-  (pw, defense_priority t ~providers)
+  let pv =
+    if Node_id.Set.disjoint providers t.view then Lazy.force group_priority
+    else t.own_priority
+  in
+  (pw, pv)
 
 (* Lines 14-29: resolve the Dmax+2 overflow.  Providers of a winning too-far
    node are double-marked and the list is recomputed without them; remaining
@@ -662,16 +706,20 @@ let resolve_too_far t checked ~folded candidate =
       Node_id.Set.fold (fun p acc -> max acc (lid_of_sender t p)) providers (-1)
     in
     let cooldown = t.config.Config.contest_cooldown_enabled in
-    let too_far = clear_level_ids candidate (dmax + 1) in
+    let window = Priority.contest_window ~dmax in
+    let hold_window = Priority.cooldown_window ~dmax in
+    (* The view and the priority table do not change inside the loop. *)
+    let group_priority = lazy (group_priority t) in
     let checked = ref checked in
     let rejected = ref Node_id.Set.empty in
     let wins = ref [] in
     (* Per-sender facts are loop-invariant apart from cuts: hoist the
-       advertised view and the level-Dmax clear set out of the w loop
-       (recomputing the set per (w, sender) pair dominated this phase),
-       and track cut senders separately — a cut replaces the sender's list
-       by a marked singleton whose level-Dmax clear set is empty, so
-       membership in [cut] is exactly the difference the hoisting hides. *)
+       advertised view and the list out of the w loop, and track cut
+       senders separately — a cut replaces the sender's list by a marked
+       singleton with no level-Dmax entry, so membership in [rejected] is
+       exactly the difference the hoisting hides.  "w is clear at level
+       Dmax of the sender's list" is a binary search of that sorted level:
+       exact even when the list holds w at several levels. *)
     let sender_info =
       List.rev
         (Node_id.Map.fold
@@ -681,70 +729,72 @@ let resolve_too_far t checked ~folded candidate =
                | Some msg -> msg.Message.view
                | None -> Node_id.Set.empty
              in
-             (sender, view, clear_level_ids lst dmax) :: acc)
+             (sender, view, lst) :: acc)
            !checked [])
     in
-    Node_id.Set.iter
-      (fun w ->
-        (* Only providers that advertise w as an established member of
-           their view may be cut: while w is still quarantined on the
-           provider's side, cutting would split the existing group because
-           of a newcomer — precisely what the quarantine exists to prevent
-           (Proposition 14, case iii).  Unestablished too-far nodes are
-           silently truncated; their conflict resolves at their own entry
-           point.  DESIGN.md Section 5. *)
-        let providers =
-          List.fold_left
-            (fun acc (sender, view, clear_dmax) ->
-              if
-                Node_id.Set.mem w view
-                && Node_id.Set.mem w clear_dmax
-                && not (Node_id.Set.mem sender !rejected)
-              then sender :: acc
-              else acc)
-            [] sender_info
+    let contest w =
+      (* Only providers that advertise w as an established member of
+         their view may be cut: while w is still quarantined on the
+         provider's side, cutting would split the existing group because
+         of a newcomer — precisely what the quarantine exists to prevent
+         (Proposition 14, case iii).  Unestablished too-far nodes are
+         silently truncated; their conflict resolves at their own entry
+         point.  DESIGN.md Section 5. *)
+      let providers =
+        List.fold_left
+          (fun acc (sender, view, lst) ->
+            if
+              Node_id.Set.mem w view
+              && (match Antlist.mark_at lst dmax w with
+                 | Some Mark.Clear -> true
+                 | Some (Mark.Single | Mark.Double) | None -> false)
+              && not (Node_id.Set.mem sender !rejected)
+            then sender :: acc
+            else acc)
+          [] sender_info
+      in
+      if providers <> [] then begin
+        let provider_set = Node_id.Set.of_list providers in
+        let held =
+          cooldown
+          && match Node_id.Map.find_opt w t.contest_hold with
+             | Some (_, cut) -> Node_id.Set.disjoint provider_set cut
+             | None -> false
         in
-        if providers <> [] then begin
-          let provider_set = Node_id.Set.of_list providers in
-          let held =
-            cooldown
-            && match Node_id.Map.find_opt w t.contest_hold with
-               | Some (_, cut) -> Node_id.Set.disjoint provider_set cut
-               | None -> false
-          in
-          if not held then begin
-            let pw, pv = too_far_priority t ~w ~providers:provider_set in
-            if Priority.beats ~window:(Priority.contest_window ~dmax) pw pv then begin
-              List.iter
-                (fun sender ->
-                  checked :=
-                    Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double)
-                      !checked;
-                  rejected := Node_id.Set.add sender !rejected)
-                providers;
-              Registry.Counter.incr t.metrics.m_contest_win;
-              if tracing then
-                Trace.emit t.trace
-                  (Trace.Contest_win
-                     { node = t.id; far = w; cause = contest_cause provider_set });
-              wins := (w, provider_set) :: !wins;
-              if cooldown then
-                t.contest_hold <-
-                  Node_id.Map.add w
-                    (Priority.cooldown_window ~dmax, provider_set)
-                    t.contest_hold
-            end
-            else if cooldown then begin
-              Registry.Counter.incr t.metrics.m_contest_freeze;
-              if tracing then
-                Trace.emit t.trace
-                  (Trace.Contest_freeze
-                     { node = t.id; far = w; cause = contest_cause provider_set });
-              t.oldness_hold <- max t.oldness_hold (Priority.cooldown_window ~dmax)
-            end
+        if not held then begin
+          let pw, pv = too_far_priority t ~group_priority ~w ~providers:provider_set in
+          if Priority.beats ~window pw pv then begin
+            List.iter
+              (fun sender ->
+                checked :=
+                  Node_id.Map.add sender (Antlist.singleton_marked sender Mark.Double)
+                    !checked;
+                rejected := Node_id.Set.add sender !rejected)
+              providers;
+            Registry.Counter.incr t.metrics.m_contest_win;
+            if tracing then
+              Trace.emit t.trace
+                (Trace.Contest_win
+                   { node = t.id; far = w; cause = contest_cause provider_set });
+            wins := (w, provider_set) :: !wins;
+            if cooldown then
+              t.contest_hold <-
+                Node_id.Map.add w (hold_window, provider_set) t.contest_hold
           end
-        end)
-      too_far;
+          else if cooldown then begin
+            Registry.Counter.incr t.metrics.m_contest_freeze;
+            if tracing then
+              Trace.emit t.trace
+                (Trace.Contest_freeze
+                   { node = t.id; far = w; cause = contest_cause provider_set });
+            t.oldness_hold <- max t.oldness_hold hold_window
+          end
+        end
+      end
+    in
+    (* The too-far nodes: the clear entries of level Dmax+1, in id order. *)
+    Antlist.fold_level candidate (dmax + 1) ~init:() ~f:(fun () w mark ->
+        if mark = Mark.Clear then contest w);
     (* Re-fold only when a provider was actually cut: with [checked]
        unchanged the fold is a deterministic function of the same inputs,
        so its result is (structurally) [folded] again — and the overflow
@@ -762,8 +812,7 @@ let resolve_too_far t checked ~folded candidate =
 let update_quarantine t lst =
   let dmax = t.config.Config.dmax in
   let q =
-    List.fold_left
-      (fun acc (v, _, mark) ->
+    Antlist.fold_entries lst ~init:Node_id.Map.empty ~f:(fun acc v _ mark ->
         let remaining =
           if Node_id.equal v t.id then 0
           else if not t.config.Config.quarantine_enabled then 0
@@ -774,7 +823,6 @@ let update_quarantine t lst =
             | Some k -> max 0 (k - 1)
         in
         Node_id.Map.add v remaining acc)
-      Node_id.Map.empty (Antlist.entries lst)
   in
   t.quarantine <- q
 
@@ -785,21 +833,24 @@ let update_quarantine t lst =
    - a current view-mate advertises it in its own view (approval has
      propagated from its entry edge).
    Retention is presence-based as before: the gate applies to new
-   admissions only, so it cannot evict anybody. *)
+   admissions only, so it cannot evict anybody.
+
+   The evidence is a membership test, not a set: it is only asked about
+   view members and freshly unquarantined list members, never
+   enumerated.  Valid while [t.view] and [t.msg_set] are those of the
+   current compute. *)
 let admission_evidence t =
-  Node_id.Map.fold
-    (fun sender msg acc ->
-      let acc =
-        if
-          List.exists
-            (fun (v, _, mark) -> Node_id.equal v t.id && mark = Mark.Clear)
-            (Antlist.entries msg.Message.antlist)
-        then Node_id.Set.add sender acc
-        else acc
-      in
-      if Node_id.Set.mem sender t.view then Node_id.Set.union msg.Message.view acc
-      else acc)
-    t.msg_set Node_id.Set.empty
+  let mate_views =
+    Node_id.Map.fold
+      (fun sender msg acc ->
+        if Node_id.Set.mem sender t.view then msg.Message.view :: acc else acc)
+      t.msg_set []
+  in
+  fun v ->
+    (match Node_id.Map.find v t.msg_set with
+    | msg -> Antlist.mem_clear msg.Message.antlist t.id
+    | exception Not_found -> false)
+    || List.exists (Node_id.Set.mem v) mate_views
 
 (* Continuous membership re-validation (DESIGN.md Section 5, item 15; part
    of the admission gate).  The counter-evidence is strictly firsthand
@@ -833,9 +884,8 @@ let update_conflicts t =
     Node_id.Map.filter_map
       (fun _ (n, age) -> if age >= window then None else Some (n, age + 1))
       t.conflict;
-  let clear_ids = Antlist.clear_ids t.antlist in
   let eligible v =
-    Node_id.Set.mem v clear_ids
+    Antlist.mem_clear t.antlist v
     && match Node_id.Map.find_opt v t.quarantine with Some 0 -> true | _ -> false
   in
   Node_id.Map.iter
@@ -878,7 +928,7 @@ let starved_set t ~evidence =
     Node_id.Set.fold
       (fun v acc ->
         if Node_id.equal v t.id then acc
-        else if Node_id.Set.mem v evidence then acc
+        else if evidence v then acc
         else
           let age =
             match Node_id.Map.find_opt v t.starve with Some a -> a | None -> 0
@@ -891,20 +941,21 @@ let starved_set t ~evidence =
     t.starve Node_id.Set.empty
 
 let compute_view t lst ~evidence ~conflicted =
-  List.fold_left
-    (fun acc (v, _, mark) ->
+  Antlist.fold_entries lst ~init:Node_id.Set.empty ~f:(fun acc v _ mark ->
       let quarantined =
-        match Node_id.Map.find_opt v t.quarantine with Some 0 -> false | _ -> true
+        match Node_id.Map.find v t.quarantine with
+        | 0 -> false
+        | _ -> true
+        | exception Not_found -> true
       in
-      let admissible =
-        Node_id.equal v t.id
-        || (not t.config.Config.admission_gate_enabled)
-        || (Node_id.Set.mem v t.view || Node_id.Set.mem v evidence)
-           && not (Node_id.Set.mem v conflicted)
-      in
-      if mark = Mark.Clear && (not quarantined) && admissible then Node_id.Set.add v acc
+      if
+        mark = Mark.Clear && (not quarantined)
+        && (Node_id.equal v t.id
+           || (not t.config.Config.admission_gate_enabled)
+           || (Node_id.Set.mem v t.view || evidence v)
+              && not (Node_id.Set.mem v conflicted))
+      then Node_id.Set.add v acc
       else acc)
-    Node_id.Set.empty (Antlist.entries lst)
 
 let update_priorities t lst ~clock =
   (* Oldness accrues only while the node is truly alone: in a group (view
@@ -915,7 +966,16 @@ let update_priorities t lst ~clock =
      as multi-thousand-round convergence tails on chains of groups
      (DESIGN.md Section 5). *)
   let in_group = Node_id.Set.cardinal t.view >= 2 in
-  let merging = Node_id.Set.cardinal (Antlist.clear_ids lst) >= 2 in
+  (* Two distinct clear ids, without building the clear-id set.  The
+     accumulator is the first clear id, -1 before it and -2 once a second
+     one appears (ids are non-negative). *)
+  let merging =
+    Antlist.fold_entries lst ~init:(-1) ~f:(fun first v _ mark ->
+        if mark <> Mark.Clear || first = -2 || first = v then first
+        else if first = -1 then v
+        else -2)
+    = -2
+  in
   (match t.config.Config.priority_mode with
   | Config.Oldness ->
       (* A contest winner additionally holds through [oldness_hold]
@@ -925,11 +985,16 @@ let update_priorities t lst ~clock =
       else if not (in_group || merging) then
         t.own_priority <- Priority.bump (Priority.sync t.own_priority clock)
   | Config.Lowest_id -> ());
+  (* Forget priorities of nodes that left the list: collect, then remove
+     (removal is not allowed mid-iteration). *)
   let keep = Node_id.Set.add t.id (Antlist.ids lst) in
-  Hashtbl.filter_map_inplace
-    (fun v p -> if Node_id.Set.mem v keep then Some p else None)
-    t.prio_table;
-  Hashtbl.replace t.prio_table t.id t.own_priority
+  let sc = Domain.DLS.get scratch_key in
+  Itbl.iter (fun v _ -> if not (Node_id.Set.mem v keep) then buf_push sc v) t.prio_table;
+  for i = 0 to sc.len - 1 do
+    Itbl.remove t.prio_table sc.buf.(i)
+  done;
+  sc.len <- 0;
+  Itbl.replace t.prio_table t.id t.own_priority
 
 (* Mark handshake and quarantine transitions, derived by diffing the
    protocol state across one compute — the list marks and the quarantine
@@ -1003,15 +1068,19 @@ let count_quarantine_transitions t ~old_q =
     t.quarantine
 
 let compute t =
-  Registry.Counter.incr t.metrics.m_compute;
-  let m_t0 = Registry.Timer.start t.metrics.m_compute_ns in
+  let m = t.metrics in
+  Registry.Counter.incr m.m_compute;
+  let m_t0 = Registry.Timer.start m.m_compute_ns in
   let dmax = t.config.Config.dmax in
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_ingest) and p_w0 = minor_words m in
   ingest t;
   let clock = merge_priority_tables t in
   t.contest_hold <-
     Node_id.Map.filter_map
       (fun _ (k, cut) -> if k > 1 then Some (k - 1, cut) else None)
       t.contest_hold;
+  phase_stop m ph_ingest p_t0 p_w0;
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_gate) and p_w0 = minor_words m in
   let evidence = admission_evidence t in
   let conflicted =
     if t.config.Config.admission_gate_enabled then begin
@@ -1020,25 +1089,35 @@ let compute t =
     end
     else Node_id.Set.empty
   in
-  let checked = check_incoming t in
-  let folded =
-    match t.fold_cache with
-    | Some (key, v) when Node_id.Map.equal Antlist.equal key checked ->
-        Registry.Counter.incr t.metrics.m_cache_hit;
-        v
-    | _ ->
-        Registry.Counter.incr t.metrics.m_cache_miss;
-        let f_t0 = Registry.Timer.start t.metrics.m_fold_ns in
-        let v = fold_ant t checked in
-        Registry.Timer.stop t.metrics.m_fold_ns f_t0;
-        t.fold_cache <- Some (checked, v);
-        v
+  phase_stop m ph_gate p_t0 p_w0;
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_check_each) and p_w0 = minor_words m in
+  let checked = check_each_incoming t in
+  phase_stop m ph_check_each p_t0 p_w0;
+  let checked =
+    if t.config.Config.joint_admission_enabled then begin
+      let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_cross_check)
+      and p_w0 = minor_words m in
+      let checked = cross_check t checked in
+      phase_stop m ph_cross_check p_t0 p_w0;
+      checked
+    end
+    else checked
   in
+  (* No fold cache: reusing the fold of an unchanged checked map buys
+     less than run-to-run noise once the fold is one pass (DESIGN.md
+     Section 9.2). *)
+  Registry.Counter.incr m.m_cache_miss;
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_fold) and p_w0 = minor_words m in
+  let folded = fold_ant t checked in
+  phase_stop m ph_fold p_t0 p_w0;
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_contest) and p_w0 = minor_words m in
   let candidate = Antlist.truncate folded (dmax + 2) in
   let final_list, too_far_conflict, rejected_senders, contest_wins =
     resolve_too_far t checked ~folded candidate
   in
   let final_list = Antlist.truncate final_list (dmax + 1) in
+  phase_stop m ph_contest p_t0 p_w0;
+  let p_t0 = Registry.Timer.start m.m_phase_ns.(ph_view) and p_w0 = minor_words m in
   let old_list = t.antlist in
   let old_q = t.quarantine in
   update_quarantine t final_list;
@@ -1062,7 +1141,7 @@ let compute t =
         let c = pick added in
         let c = if c >= 0 then c else pick removed in
         if c >= 0 then c
-        else Hashtbl.fold (fun _ l acc -> max acc l) t.msg_lid (-1)
+        else Itbl.fold (fun _ l acc -> max acc l) t.msg_lid (-1)
       in
       Trace.emit t.trace
         (Trace.View_changed
@@ -1070,15 +1149,18 @@ let compute t =
     end
   end;
   (* Preserve physical identity when nothing changed: the stable list is
-     re-broadcast as-is, so next round's equality checks (here and in every
-     receiver's fold cache) are pointer comparisons. *)
+     re-broadcast as-is, so its memo caches (the id set [make_message]
+     reads) carry over and next round's equality check here is a pointer
+     comparison. *)
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
-  update_priorities t final_list ~clock;
+  (* [t.antlist] equals [final_list]; reading the kept value reuses its
+     id-set memo, which [make_message] needs next anyway. *)
+  update_priorities t t.antlist ~clock;
   t.msg_set <- Node_id.Map.empty;
   let view_added = Node_id.Set.diff new_view old_view in
   let view_removed = Node_id.Set.diff old_view new_view in
-  if t.metrics.m_on then begin
+  if m.m_on then begin
     count_quarantine_transitions t ~old_q;
     if not (Node_id.Set.equal new_view old_view) then begin
       Registry.Counter.add t.metrics.m_view_add (Node_id.Set.cardinal view_added);
@@ -1088,16 +1170,17 @@ let compute t =
         (Node_id.Set.cardinal new_view)
     end
   end;
-  Registry.Timer.stop t.metrics.m_compute_ns m_t0;
+  phase_stop m ph_view p_t0 p_w0;
+  Registry.Timer.stop m.m_compute_ns m_t0;
   { view_added; view_removed; too_far_conflict; rejected_senders; contest_wins }
 
 let make_message t =
   let priorities =
     Node_id.Set.fold
       (fun v acc ->
-        match Hashtbl.find_opt t.prio_table v with
-        | None -> acc
-        | Some p -> Node_id.Map.add v p acc)
+        match Itbl.find t.prio_table v with
+        | p -> Node_id.Map.add v p acc
+        | exception Not_found -> acc)
       (Antlist.ids t.antlist) Node_id.Map.empty
   in
   Message.make ~sender:t.id ~antlist:t.antlist ~priorities
@@ -1114,7 +1197,7 @@ let corrupt_quarantine t qs =
 let corrupt_priority t p = t.own_priority <- p
 
 let corrupt_priority_table t ps =
-  List.iter (fun (v, p) -> Hashtbl.replace t.prio_table v p) ps
+  List.iter (fun (v, p) -> Itbl.replace t.prio_table v p) ps
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>node %a: list=%a@ view=%a pr=%a@]" Node_id.pp t.id Antlist.pp

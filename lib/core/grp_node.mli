@@ -37,10 +37,11 @@ val create :
     during {!compute}; timestamps come from whatever clock the driving
     runtime last set on the sink.  [metrics] (default
     {!Dgs_metrics.Registry.null}) receives the node's counters, the
-    [grp_view_size] histogram and the [grp_compute_ns]/[grp_fold_ns]
-    phase timers (families listed in {!Dgs_metrics.Names}); handles are
-    resolved once here, so a disabled registry costs one load + branch
-    per site inside {!compute}. *)
+    [grp_view_size] histogram, the [grp_compute_ns] timer and the
+    per-sub-phase [grp_phase_ns]/[grp_fold_ns] timers and
+    [grp_phase_words] minor-word series (families listed in
+    {!Dgs_metrics.Names}); handles are resolved once here, so a disabled
+    registry costs one load + branch per site inside {!compute}. *)
 
 val id : t -> Node_id.t
 val config : t -> Config.t

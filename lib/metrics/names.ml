@@ -11,6 +11,16 @@ let grp_ant_merge_total = "grp_ant_merge_total"
 let grp_restrict_clear_total = "grp_restrict_clear_total"
 let grp_compute_ns = "grp_compute_ns"
 let grp_fold_ns = "grp_fold_ns"
+let grp_phase_ns = "grp_phase_ns"
+let grp_phase_words = "grp_phase_words"
+
+let compute_phases =
+  [ "ingest"; "gate"; "check_each"; "cross_check"; "fold"; "contest"; "view" ]
+
+let phase_ns phase =
+  if phase = "fold" then grp_fold_ns else Registry.labelled grp_phase_ns [ ("phase", phase) ]
+
+let phase_words phase = Registry.labelled grp_phase_words [ ("phase", phase) ]
 
 (* Protocol events *)
 let grp_quarantine_enter_total = "grp_quarantine_enter_total"
@@ -60,6 +70,8 @@ let all =
     grp_restrict_clear_total;
     grp_compute_ns;
     grp_fold_ns;
+    grp_phase_ns;
+    grp_phase_words;
     grp_quarantine_enter_total;
     grp_quarantine_admit_total;
     grp_gate_conviction_total;

@@ -1,6 +1,7 @@
 (** Canonical metric families registered by instrumented modules.
 
-    Counters end in [_total], timers in [_ns]; [grp_view_size] is a
+    Counters end in [_total], timers in [_ns] ([grp_phase_words] is the
+    one timer-kind series counted in words); [grp_view_size] is a
     histogram and [medium_loss_rate] a gauge.  Labelled series (e.g.
     [experiment_ns{id="e3"}]) use these as their family prefix — see
     {!Registry.labelled}.  The docs/OBSERVABILITY.md metric-names table is
@@ -13,6 +14,28 @@ val grp_ant_merge_total : string
 val grp_restrict_clear_total : string
 val grp_compute_ns : string
 val grp_fold_ns : string
+
+val grp_phase_ns : string
+(** Timer family, one series per [compute()] sub-phase, labelled
+    [phase] (see {!compute_phases}). *)
+
+val grp_phase_words : string
+(** Minor-heap words allocated per [compute()] sub-phase, labelled
+    [phase].  Recorded through {!Registry.Timer.record}: like a timer it
+    is wall-clock-grade data (which domain first grows shared scratch is
+    schedule-dependent), not a deterministic counter. *)
+
+val compute_phases : string list
+(** The [phase] label values of {!grp_phase_ns} and {!grp_phase_words},
+    in [compute()] order. *)
+
+val phase_ns : string -> string
+(** The timer series of a sub-phase: {!grp_fold_ns} for ["fold"], the
+    labelled {!grp_phase_ns} series otherwise. *)
+
+val phase_words : string -> string
+(** The labelled {!grp_phase_words} series of a sub-phase. *)
+
 val grp_quarantine_enter_total : string
 val grp_quarantine_admit_total : string
 val grp_gate_conviction_total : string

@@ -38,6 +38,13 @@ module Timer = struct
       if d > tm.max then tm.max <- d
     end
 
+  let record tm d =
+    if tm.on then begin
+      tm.spans <- tm.spans + 1;
+      tm.total <- tm.total +. d;
+      if d > tm.max then tm.max <- d
+    end
+
   let time tm f =
     let t0 = start tm in
     Fun.protect ~finally:(fun () -> stop tm t0) f

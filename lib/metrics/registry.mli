@@ -71,6 +71,11 @@ module Timer : sig
   val stop : t -> float -> unit
   (** Record one span from a {!start} token; no-op when disabled. *)
 
+  val record : t -> float -> unit
+  (** Record one span of a caller-measured size, in the series' own unit
+      (the [_words] families count minor-heap words this way); no-op when
+      disabled. *)
+
   val time : t -> (unit -> 'a) -> 'a
   (** [time tm f] runs [f ()] inside a {!start}/{!stop} pair (also on
       exceptions). *)

@@ -17,10 +17,14 @@ let scenario_of_string = function
   | "city" -> Some City
   | _ -> None
 
-(* Presets sized for a target mean degree of ~8 at the given radio range:
-   on the highway the linear density n/length must be ~4/range; in the city
-   the street grid's total length 2·b·(b+1)·block must likewise carry
-   ~4/range nodes per unit. *)
+(* Presets sized to carry ~4/range vehicles per unit of road at the given
+   radio range.  On the highway (linear density n/length) that gives a
+   mean degree of about 7.  The city grid's total street length
+   2·b·(b+1)·block carries the same linear density, but with block side =
+   range every vehicle also hears the parallel streets and the crossings
+   within range, so its mean degree is far higher: about 25 at n = 150
+   (the city_static benchmark measures 25.2), 27 at n = 600 and 33 at
+   n = 2000 (grid edges matter less as the grid grows). *)
 let spec_of scenario ~n ~range ~speed =
   match scenario with
   | Highway ->
@@ -72,12 +76,42 @@ type report = {
   evictions : int;
   additions : int;
   oracle_stats : Incremental.stats option;
+  compute_profile : compute_phase list;
 }
+
+and compute_phase = { phase : string; us_per_compute : float; words_per_compute : float }
+
+module Registry = Dgs_metrics.Registry
+module Names = Dgs_metrics.Names
+
+(* Cumulative (ns, words) per [compute()] sub-phase plus the compute
+   count, read off merged registry snapshots. *)
+let phase_totals regs =
+  let s = Registry.merge (List.map (fun r -> Registry.snapshot r) regs) in
+  let timer name =
+    match List.assoc_opt name s.Registry.timers with
+    | Some t -> t.Registry.total_ns
+    | None -> 0.0
+  in
+  let computes =
+    Option.value ~default:0 (List.assoc_opt Names.grp_compute_total s.Registry.counters)
+  in
+  ( computes,
+    List.map
+      (fun phase -> (phase, timer (Names.phase_ns phase), timer (Names.phase_words phase)))
+      Names.compute_phases )
+
+let compute_profile_of (c0, p0) (c1, p1) =
+  let n = float_of_int (max 1 (c1 - c0)) in
+  List.map2
+    (fun (phase, ns0, w0) (_, ns1, w1) ->
+      { phase; us_per_compute = (ns1 -. ns0) /. n /. 1e3; words_per_compute = (w1 -. w0) /. n })
+    p0 p1
 
 let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     ?(jitter = 0.1) ?(warmup = 10) ?(rounds = 50) ?(oracle = (`Incremental : oracle))
     ?(oracle_every = 5) ?(cross_check_limit = 64) ?(naive_graph = false)
-    ?(jobs = 1) ?shards ?make_trace ?profile_out ~scenario ~n () =
+    ?(jobs = 1) ?shards ?make_trace ?profile_out ?(profile = false) ~scenario ~n () =
   let jobs = if jobs <= 0 then Dgs_parallel.Pool.default_jobs () else jobs in
   let shards = match shards with Some s -> max 1 s | None -> jobs in
   let rng = Rng.create seed in
@@ -91,8 +125,20 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   let shard_of =
     Sharded.spatial_partition ~shards ~range (Mobility.positions mob)
   in
+  (* --profile: one live registry per shard, for the compute() phase
+     split; every other run keeps the null registry's zero-cost path. *)
+  let registries = Array.make shards Registry.null in
+  let make_metrics =
+    if profile then
+      Some
+        (fun sx ->
+          let r = Registry.create () in
+          registries.(sx) <- r;
+          r)
+    else None
+  in
   let t =
-    Sharded.create ~config ~shards ~jobs ~seed ~shard_of ?make_trace
+    Sharded.create ~config ~shards ~jobs ~seed ~shard_of ?make_trace ?make_metrics
       (build mob ~range)
   in
   Sharded.run ~jitter t warmup;
@@ -139,6 +185,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     incr oracle_polls;
     oracle_s := !oracle_s +. (Unix.gettimeofday () -. t0)
   in
+  let phases0 = if profile then Some (phase_totals (Array.to_list registries)) else None in
   let wall0 = Unix.gettimeofday () in
   let gc0 = Gc.quick_stat () in
   (* Perfetto span collection (--profile-out): one complete span per
@@ -208,6 +255,11 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
   if oracle <> `Off && rounds mod oracle_every <> 0 then poll g;
   let wall_s = Unix.gettimeofday () -. wall0 in
   let gc1 = Gc.quick_stat () in
+  let compute_profile =
+    match phases0 with
+    | Some p0 -> compute_profile_of p0 (phase_totals (Array.to_list registries))
+    | None -> []
+  in
   (match profile_out with
   | None -> ()
   | Some path ->
@@ -253,6 +305,7 @@ let run ?(seed = 1) ?(dmax = 3) ?(range = 2.0) ?(speed = 0.15) ?(dt = 1.0)
     evictions = !evictions;
     additions = !additions;
     oracle_stats = Option.map Incremental.stats inc;
+    compute_profile;
   }
 
 let pp_report ppf r =
@@ -288,4 +341,18 @@ let pp_profile ppf r =
     (mw r.minor_words_per_round)
     (mw r.promoted_words_per_round)
     (mw r.major_words_per_round)
-    (if r.jobs > 1 then "; workers not counted at jobs>1" else "")
+    (if r.jobs > 1 then "; workers not counted at jobs>1" else "");
+  match r.compute_profile with
+  | [] -> ()
+  | phases ->
+      let total f = List.fold_left (fun acc p -> acc +. f p) 0.0 phases in
+      let us = total (fun p -> p.us_per_compute) in
+      Format.fprintf ppf "@.@[<v>compute profile: %.1f us, %.0f words per compute (all shards)"
+        us (total (fun p -> p.words_per_compute));
+      List.iter
+        (fun p ->
+          Format.fprintf ppf "@,  %-12s %8.1f us %5.1f%% %10.0f words" p.phase p.us_per_compute
+            (if us > 0.0 then 100.0 *. p.us_per_compute /. us else 0.0)
+            p.words_per_compute)
+        phases;
+      Format.fprintf ppf "@]"

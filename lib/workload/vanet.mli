@@ -19,9 +19,12 @@ val scenario_of_string : string -> scenario option
 (** Inverse of {!scenario_name}. *)
 
 val spec_of : scenario -> n:int -> range:float -> speed:float -> Dgs_mobility.Mobility.spec
-(** Mobility preset sized so the mean degree stays around 8 regardless of
-    [n]: a 6-lane bidirectional highway of length [n·range/4], or a square
-    Manhattan grid of about [sqrt (n/8)] blocks of side [range]. *)
+(** Mobility preset carrying about [4/range] vehicles per unit of road: a
+    6-lane bidirectional highway of length [n·range/4] (mean degree about
+    7 at any [n]), or a square Manhattan grid of about [sqrt (n/8)] blocks
+    of side [range].  In the city every vehicle also hears the parallel
+    streets and crossings within range, so its mean degree is about 25 at
+    [n = 150] and rises slowly with [n] (about 33 at [n = 2000]). *)
 
 type oracle = [ `Off | `Full | `Incremental ]
 (** Which checker the periodic poll runs: none, the full {!Dgs_spec.Predicates}
@@ -60,6 +63,16 @@ type report = {
   additions : int;  (** view members added across all rounds *)
   oracle_stats : Dgs_spec.Incremental.stats option;
       (** cache counters when the incremental oracle ran *)
+  compute_profile : compute_phase list;
+      (** the measured window's [compute()] sub-phase split, in
+          {!Dgs_metrics.Names.compute_phases} order; empty unless the run
+          was profiled *)
+}
+
+and compute_phase = {
+  phase : string;
+  us_per_compute : float;  (** wall clock per compute, summed over shards *)
+  words_per_compute : float;  (** minor-heap words per compute *)
 }
 
 val run :
@@ -79,6 +92,7 @@ val run :
   ?shards:int ->
   ?make_trace:(int -> Dgs_trace.Trace.t) ->
   ?profile_out:string ->
+  ?profile:bool ->
   scenario:scenario ->
   n:int ->
   unit ->
@@ -97,7 +111,9 @@ val run :
     Chrome trace_event JSON ({!Dgs_trace.Chrome_trace}): per-round
     graph_build / set_graph / broadcast / barrier / deliver+compute
     spans on lane 0 and each shard's in-worker phase spans on lane
-    [shard + 1].
+    [shard + 1].  [profile] (default false) gives every shard a live
+    metrics registry and fills [compute_profile] from its
+    [grp_phase_ns]/[grp_fold_ns]/[grp_phase_words] series.
 
     The round loop runs on {!Dgs_sim.Sharded}: the node set is cut into
     [shards] spatially compact slabs ({!Dgs_sim.Sharded.spatial_partition}
@@ -114,7 +130,8 @@ val pp_report : Format.formatter -> report -> unit
 val pp_profile : Format.formatter -> report -> unit
 (** {!pp_report} followed by the round-time attribution lane: the
     set_graph / broadcast / barrier / deliver+compute split of [round_s]
-    and the per-round GC allocation rates — what [grp_sim vanet
-    --profile] prints.  At [jobs = 1] every phase runs inline on the
+    and the per-round GC allocation rates, then the [compute()] sub-phase
+    split when the run was profiled — what [grp_sim vanet --profile]
+    prints.  At [jobs = 1] every phase runs inline on the
     main domain, so the GC words account for the full workload; at
     [jobs > 1] worker-domain allocation is not included. *)

@@ -362,6 +362,118 @@ let arbitrary_suite =
     ("arb: merge dedups junk", `Quick, test_arb_merge_dedup_on_junk);
   ]
 
+(* --- one-pass ant fold vs the sequential chain --- *)
+
+let fold_chain self ls = List.fold_left Antlist.ant (Antlist.singleton self) ls
+
+let fold_one_pass self ls =
+  let f = Antlist.folder () in
+  Antlist.fold_start f self;
+  List.iter (Antlist.fold_add f) ls;
+  Antlist.fold_finish f
+
+(* Raw lists over ids 0..9 in every malformed shape [compute] may be
+   handed after fault injection: duplicate ids across levels, interior
+   empty levels, marked, missing or foreign level-0 entries, marks at any
+   depth — plus the empty list and the marked singletons the individual
+   checks substitute for rejected senders. *)
+let gen_raw_antlist =
+  QCheck.Gen.(
+    let mark = oneofl [ Mark.Clear; Mark.Clear; Mark.Single; Mark.Double ] in
+    let level = list_size (int_range 0 4) (pair (int_range 0 9) mark) in
+    frequency
+      [
+        (8, map Antlist.of_levels (list_size (int_range 1 5) level));
+        (1, return Antlist.empty);
+        ( 2,
+          map2
+            (fun id m -> Antlist.singleton_marked id m)
+            (int_range 0 9)
+            (oneofl [ Mark.Single; Mark.Double ]) );
+        (1, map Antlist.singleton (int_range 0 9));
+      ])
+
+let prop_one_pass_fold_matches_chain =
+  QCheck.Test.make ~name:"one-pass ant fold = List.fold_left ant (singleton self)"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (self, ls) ->
+         Printf.sprintf "self=%d [%s]" self
+           (String.concat "; " (List.map Antlist.to_string ls)))
+       QCheck.Gen.(pair (int_range 0 9) (list_size (int_range 0 8) gen_raw_antlist)))
+    (fun (self, ls) ->
+      (* The fold is order-sensitive (each step truncates at its first
+         empty level): check the generated order and a reversal. *)
+      List.for_all
+        (fun ls -> Antlist.equal (fold_one_pass self ls) (fold_chain self ls))
+        [ ls; List.rev ls ])
+
+(* Folds reuse the domain's scratch: a large fold followed by a small one
+   must not leak slots or level counts into the second. *)
+let test_fold_scratch_reuse () =
+  let big = List.init 30 (fun i -> of_clear [ [ i + 1 ]; [ i + 2; i + 40 ]; [ i + 80 ] ]) in
+  Alcotest.check al "big fold" (fold_chain 0 big) (fold_one_pass 0 big);
+  let small = [ of_clear [ [ 5 ]; [ 0; 6 ] ] ] in
+  Alcotest.check al "small fold after big" (fold_chain 0 small) (fold_one_pass 0 small);
+  Alcotest.check al "no senders" (Antlist.singleton 3) (fold_one_pass 3 [])
+
+(* --- level binary search and sorted-array disjointness --- *)
+
+let test_mark_at () =
+  (* 4 sits at levels 1 (Single) and 2 (Clear): [find] reports only the
+     first occurrence, the per-level search sees both. *)
+  let l =
+    Antlist.of_levels
+      [
+        [ (0, Mark.Clear) ];
+        [ (1, Mark.Clear); (4, Mark.Single); (7, Mark.Double) ];
+        [ (2, Mark.Clear); (4, Mark.Clear); (9, Mark.Clear) ];
+      ]
+  in
+  let m = Alcotest.(option (testable Mark.pp Mark.equal)) in
+  Alcotest.check m "level 1 single" (Some Mark.Single) (Antlist.mark_at l 1 4);
+  Alcotest.check m "level 2 clear" (Some Mark.Clear) (Antlist.mark_at l 2 4);
+  Alcotest.check m "level 1 double" (Some Mark.Double) (Antlist.mark_at l 1 7);
+  Alcotest.check m "first and last of a level" (Some Mark.Clear) (Antlist.mark_at l 2 9);
+  Alcotest.check m "absent id" None (Antlist.mark_at l 2 3);
+  Alcotest.check m "below the level" None (Antlist.mark_at l 2 0);
+  Alcotest.check m "out of range" None (Antlist.mark_at l 5 4);
+  Alcotest.check m "negative level" None (Antlist.mark_at l (-1) 0);
+  check "find sees only the first occurrence" true
+    (Antlist.find l 4 = Some (1, Mark.Single));
+  check "mem_clear finds the deeper clear copy" true (Antlist.mem_clear l 4);
+  check "mem_clear rejects a marked-only id" false (Antlist.mem_clear l 7);
+  check_int "first level" 1 (Antlist.first_level l 4);
+  check_int "first level of absent" (-1) (Antlist.first_level l 3);
+  check_int "entry count" 7 (Antlist.entry_count l);
+  (* Every level of a list with many entries, against a linear scan. *)
+  let big = of_clear [ List.init 200 (fun i -> 3 * i) ] in
+  for id = -1 to 601 do
+    check "binary search agrees with membership"
+      (id >= 0 && id < 600 && id mod 3 = 0)
+      (Antlist.mark_at big 0 id <> None)
+  done
+
+let test_disjoint_sorted () =
+  let d = Node_id.disjoint_sorted in
+  check "empty/empty" true (d [||] [||]);
+  check "empty/any" true (d [||] [| 1; 2 |]);
+  check "interleaved disjoint" true (d [| 1; 3; 5 |] [| 0; 2; 4; 6 |]);
+  check "shared last" false (d [| 1; 3; 9 |] [| 2; 9 |]);
+  check "shared first" false (d [| 0; 5 |] [| 0 |]);
+  check "one long, one short" true (d [| 1; 2; 3; 4; 5; 6 |] [| 7 |]);
+  Alcotest.(check (array int)) "sorted_of_prefix sorts and dedups" [| 1; 2; 5 |]
+    (Node_id.sorted_of_prefix [| 5; 1; 2; 5; 1; 99 |] 5);
+  Alcotest.(check (array int)) "empty prefix" [||] (Node_id.sorted_of_prefix [| 3 |] 0)
+
+let prop_disjoint_sorted_matches_set =
+  QCheck.Test.make ~name:"disjoint_sorted = Set.disjoint" ~count:500
+    QCheck.(pair (small_list (int_range 0 30)) (small_list (int_range 0 30)))
+    (fun (a, b) ->
+      let arr l = Node_id.sorted_of_prefix (Array.of_list l) (List.length l) in
+      Node_id.disjoint_sorted (arr a) (arr b)
+      = Node_id.Set.disjoint (Node_id.Set.of_list a) (Node_id.Set.of_list b))
+
 let suite =
   [
     ("singleton", `Quick, test_singleton);
@@ -381,5 +493,10 @@ let suite =
     ("well_formed", `Quick, test_well_formed);
     ("restrict_clear", `Quick, test_restrict_clear);
     ("compare/equal", `Quick, test_compare_equal);
+    ("one-pass fold reuses scratch", `Quick, test_fold_scratch_reuse);
+    ("level binary search", `Quick, test_mark_at);
+    ("sorted-array disjointness", `Quick, test_disjoint_sorted);
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_one_pass_fold_matches_chain; prop_disjoint_sorted_matches_set ]
   @ qcheck_suite @ arbitrary_suite

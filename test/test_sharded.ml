@@ -210,8 +210,45 @@ let test_vanet_jobs_smoke () =
   check_int "jobs recorded" 2 r2.Dgs_workload.Vanet.jobs;
   check_int "shards follow jobs" 2 r2.Dgs_workload.Vanet.shards
 
+(* --- allocation budget of compute() --- *)
+
+(* Minor words per compute on a dense fixture: the 150-vehicle city
+   preset (mean degree about 25, never legitimate, so every round churns
+   through the full admission, fold and contest path) for 20 rounds at
+   seed 1, measured around [Sharded.round] on one domain.  The words also
+   cover the executor's broadcast and delivery, which are allocation-free
+   per copy.  Measured with the allocation-lean compute() (one-pass ant
+   fold, flat admission and contest): 21,212 words per compute, against
+   99,813 with the previous chain of [Antlist.ant] calls.  The budget is
+   1.25x the measured value, 26,515 words, so a change that re-inflates
+   the hot path fails here.  Allocation counts are deterministic for a
+   fixed seed. *)
+let compute_words_measured = 21_212.0
+let compute_words_budget = 1.25 *. compute_words_measured
+
+let test_compute_allocation_budget () =
+  let module Mobility = Dgs_mobility.Mobility in
+  let n = 150 and range = 2.0 in
+  let spec = Dgs_workload.Vanet.spec_of Dgs_workload.Vanet.City ~n ~range ~speed:0.0 in
+  let mob = Mobility.create (Rng.create 1) ~n spec in
+  let s = Sharded.create ~config ~shards:1 ~jobs:1 ~seed:1 (Mobility.graph mob ~range) in
+  let words = ref 0.0 and computes = ref 0 in
+  for _ = 1 to 20 do
+    let w0 = Gc.minor_words () in
+    let infos = Sharded.round ~jitter:0.1 s in
+    words := !words +. (Gc.minor_words () -. w0);
+    computes := !computes + Node_id.Map.cardinal infos
+  done;
+  let per_compute = !words /. float_of_int !computes in
+  if per_compute > compute_words_budget then
+    Alcotest.failf "compute() allocates %.0f minor words per compute, budget %.0f"
+      per_compute compute_words_budget;
+  Printf.printf "compute() minor words per compute: %.0f (budget %.0f)\n" per_compute
+    compute_words_budget
+
 let suite =
   [
+    ("compute() allocation budget", `Quick, test_compute_allocation_budget);
     ("sharded equals rounds at jitter 0", `Quick, test_sharded_equals_rounds);
     ("vanet --jobs smoke", `Quick, test_vanet_jobs_smoke);
     ("degenerate partitions", `Quick, test_degenerate_partitions);
