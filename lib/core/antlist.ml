@@ -8,39 +8,13 @@ module Itbl = Node_id.Tbl
    mutated after construction, so suffixes and untouched levels are shared
    freely between values ([merge]/[truncate]/[strip_marked] reuse input
    arrays whenever a pass changes nothing — which is the common case once
-   the protocol has stabilized, and what makes [Grp_node]'s steady-state
-   equality checks O(1) physical comparisons).
+   the protocol has stabilized).  A value has no other state, so it can be
+   read from any domain. *)
+type t = { lvls : entry array array } [@@unboxed]
 
-   Queries that historically rescanned the levels ([find]/[mem], [ids],
-   [clear_ids], [entries]) answer from per-value memo caches built on first
-   use.  A value is logically immutable, so the caches are write-once
-   derived data; values are domain-confined (each simulation task builds its
-   own nets and lists), so the caches need no synchronization. *)
-type cache = {
-  mutable index : (Node_id.t, int * Mark.t) Hashtbl.t option;
-      (* id -> (position, mark) of the FIRST (closest) occurrence *)
-  mutable entries_l : (Node_id.t * int * Mark.t) list option;
-  mutable ids_s : Node_id.Set.t option;
-  mutable clear_ids_s : Node_id.Set.t option;
-}
-
-type t = { lvls : entry array array; cache : cache }
-
-let mk lvls =
-  { lvls; cache = { index = None; entries_l = None; ids_s = None; clear_ids_s = None } }
-
-(* [empty] is the one [t] shared between domains (every other value is
-   built inside the task that uses it), so its memo cache is populated
-   eagerly here: no domain ever writes to it. *)
-let empty =
-  let t = mk [||] in
-  t.cache.index <- Some (Hashtbl.create 1);
-  t.cache.entries_l <- Some [];
-  t.cache.ids_s <- Some Node_id.Set.empty;
-  t.cache.clear_ids_s <- Some Node_id.Set.empty;
-  t
-let singleton id = mk [| [| { id; mark = Mark.Clear } |] |]
-let singleton_marked id mark = mk [| [| { id; mark } |] |]
+let empty = { lvls = [||] }
+let singleton id = { lvls = [| [| { id; mark = Mark.Clear } |] |] }
+let singleton_marked id mark = { lvls = [| [| { id; mark } |] |] }
 
 (* Sort a raw level by id and merge duplicate ids (most severe mark wins). *)
 let normalize_level es =
@@ -64,11 +38,13 @@ let normalize_level es =
   end
 
 let of_levels lvls =
-  mk
-    (Array.of_list
-       (List.map
-          (fun l -> normalize_level (List.map (fun (id, mark) -> { id; mark }) l))
-          lvls))
+  {
+    lvls =
+      Array.of_list
+        (List.map
+           (fun l -> normalize_level (List.map (fun (id, mark) -> { id; mark }) l))
+           lvls);
+  }
 
 let levels t = Array.to_list (Array.map Array.to_list t.lvls)
 let size t = Array.length t.lvls
@@ -93,23 +69,6 @@ let level_ids t i =
 
 let entry_count t = Array.fold_left (fun acc l -> acc + Array.length l) 0 t.lvls
 
-let index t =
-  match t.cache.index with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create (max 8 (entry_count t)) in
-      Array.iteri
-        (fun pos l ->
-          Array.iter
-            (fun e -> if not (Hashtbl.mem h e.id) then Hashtbl.add h e.id (pos, e.mark))
-            l)
-        t.lvls;
-      t.cache.index <- Some h;
-      h
-
-let find t id = Hashtbl.find_opt (index t) id
-let mem t id = Hashtbl.mem (index t) id
-
 let fold_entries t ~init ~f =
   let acc = ref init in
   let lvls = t.lvls in
@@ -126,16 +85,23 @@ let fold_level t i ~init ~f =
   if i < 0 || i >= Array.length t.lvls then init
   else Array.fold_left (fun acc e -> f acc e.id e.mark) init t.lvls.(i)
 
-(* Binary search of one sorted level; the index of [id] or -1. *)
-let search l id =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let c = Node_id.compare l.(mid).id id in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length l)
+(* The searches below are top-level recursive functions taking every
+   operand explicitly: a local [let rec] closing over the level or the id
+   would allocate a closure per call (without flambda), and these run once
+   per entry on the admission path. *)
+
+(* Binary search of the sorted level [l] over [lo, hi); the index of [id]
+   or -1. *)
+let rec search_in l id lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = Node_id.compare l.(mid).id id in
+    if c = 0 then mid
+    else if c < 0 then search_in l id (mid + 1) hi
+    else search_in l id lo mid
+
+let search l id = search_in l id 0 (Array.length l)
 
 (* Preallocated results, so [mark_at] never allocates. *)
 let some_clear = Some Mark.Clear
@@ -154,70 +120,41 @@ let mark_at t i id =
       | Mark.Single -> some_single
       | Mark.Double -> some_double
 
-let mem_clear t id =
-  let lvls = t.lvls in
-  let rec go i =
-    i < Array.length lvls
-    &&
-    let j = search lvls.(i) id in
-    (j >= 0 && lvls.(i).(j).mark = Mark.Clear) || go (i + 1)
-  in
-  go 0
+let rec mem_clear_from lvls id i =
+  i < Array.length lvls
+  &&
+  let j = search lvls.(i) id in
+  (j >= 0 && lvls.(i).(j).mark = Mark.Clear) || mem_clear_from lvls id (i + 1)
 
-let first_level t id =
-  let lvls = t.lvls in
-  let rec go i =
-    if i >= Array.length lvls then -1
-    else if search lvls.(i) id >= 0 then i
-    else go (i + 1)
-  in
-  go 0
+let mem_clear t id = mem_clear_from t.lvls id 0
+
+let rec first_level_from lvls id i =
+  if i >= Array.length lvls then -1
+  else if search lvls.(i) id >= 0 then i
+  else first_level_from lvls id (i + 1)
+
+let first_level t id = first_level_from t.lvls id 0
+let mem t id = first_level t id >= 0
+
+let find t id =
+  let i = first_level t id in
+  if i < 0 then None
+  else
+    let l = t.lvls.(i) in
+    Some (i, l.(search l id).mark)
 
 let level_size t i =
   if i < 0 || i >= Array.length t.lvls then 0 else Array.length t.lvls.(i)
 
 let ids t =
-  match t.cache.ids_s with
-  | Some s -> s
-  | None ->
-      let s =
-        fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ _ ->
-            Node_id.Set.add id acc)
-      in
-      t.cache.ids_s <- Some s;
-      s
+  fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ _ -> Node_id.Set.add id acc)
 
 let clear_ids t =
-  match t.cache.clear_ids_s with
-  | Some s -> s
-  | None ->
-      let s =
-        fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ mark ->
-            if mark = Mark.Clear then Node_id.Set.add id acc else acc)
-      in
-      t.cache.clear_ids_s <- Some s;
-      s
+  fold_entries t ~init:Node_id.Set.empty ~f:(fun acc id _ mark ->
+      if mark = Mark.Clear then Node_id.Set.add id acc else acc)
 
 let entries t =
-  match t.cache.entries_l with
-  | Some l -> l
-  | None ->
-      let l =
-        List.rev
-          (fold_entries t ~init:[] ~f:(fun acc id pos mark -> (id, pos, mark) :: acc))
-      in
-      t.cache.entries_l <- Some l;
-      l
-
-(* The caches are write-once within one domain, but a value handed to
-   another domain (a boundary message in a sharded run) would race on
-   their population; warming them while still single-owner turns every
-   later access into a plain read. *)
-let warm t =
-  ignore (index t);
-  ignore (ids t);
-  ignore (clear_ids t);
-  ignore (entries t)
+  List.rev (fold_entries t ~init:[] ~f:(fun acc id pos mark -> (id, pos, mark) :: acc))
 
 (* Filter a level in one pass, sharing the input array when nothing is
    dropped.  The keep-set fits an int bitmask for every level the protocol
@@ -288,7 +225,7 @@ let strip_marked ~keep t =
   let unchanged = ref (!n = Array.length t.lvls) in
   if !unchanged then
     Array.iteri (fun i l -> if l != t.lvls.(i) then unchanged := false) lvls';
-  if !unchanged then t else mk (Array.sub lvls' 0 !n)
+  if !unchanged then t else { lvls = Array.sub lvls' 0 !n }
 
 let has_empty_level t = Array.exists (fun l -> Array.length l = 0) t.lvls
 
@@ -385,12 +322,12 @@ let merge_off off a b =
    with Exit -> ());
   let arr = Array.make !levels_out [||] in
   List.iteri (fun i l -> arr.(!levels_out - 1 - i) <- l) !out;
-  mk arr
+  { lvls = arr }
 
 let merge a b = merge_off 0 a b
 
 let shift t =
-  if Array.length t.lvls = 0 then t else mk (Array.append [| [||] |] t.lvls)
+  if Array.length t.lvls = 0 then t else { lvls = Array.append [| [||] |] t.lvls }
 
 let ant l1 l2 = merge_off 1 l1 l2
 
@@ -542,11 +479,11 @@ let fold_finish f =
   done;
   f.nlev <- 0;
   Array.iter sort_level lvls;
-  mk lvls
+  { lvls }
 
 let truncate t k =
   let n = Array.length t.lvls in
-  if k = 0 then empty else if k < 0 || k >= n then t else mk (Array.sub t.lvls 0 k)
+  if k = 0 then empty else if k < 0 || k >= n then t else { lvls = Array.sub t.lvls 0 k }
 
 (* Drop all marked entries AND compact every level that ends up (or was)
    empty, in one fused pass — the historical implementation filtered each
@@ -570,24 +507,15 @@ let restrict_clear t =
   else begin
     let arr = Array.make !kept_levels [||] in
     List.iteri (fun i l -> arr.(!kept_levels - 1 - i) <- l) !out;
-    mk arr
+    { lvls = arr }
   end
 
-(* Single pass over the cached index instead of the historical
-   entries + [List.sort_uniq] rescan: ids are distinct iff the first-
-   occurrence index covers every entry. *)
+(* Ids are unique across levels iff every entry is its id's first
+   occurrence (ids are unique within a level by construction). *)
 let well_formed t =
   (not (has_empty_level t))
-  && Hashtbl.length (index t) = entry_count t
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun pos l ->
-           if pos > 1 then
-             Array.iter (fun e -> if e.mark <> Mark.Clear then ok := false) l)
-         t.lvls;
-       !ok
-     end
+  && fold_entries t ~init:true ~f:(fun ok id pos mark ->
+         ok && first_level t id = pos && (pos <= 1 || mark = Mark.Clear))
 
 (* Same order as [Stdlib.compare] over the historical
    list-of-levels-of-(id, mark) key: levels lexicographically, entries

@@ -21,13 +21,10 @@
 type entry = { id : Node_id.t; mark : Mark.t }
 
 type t
-(** Logically immutable.  Internally each level is a sorted array and the
-    membership queries ({!find}, {!mem}, {!ids}, {!clear_ids}, {!entries})
-    answer from per-value memo caches built on first use; unchanged levels
-    are shared structurally between values, so steady-state equality checks
-    degenerate to physical comparisons.  Values are domain-confined: build
-    and query a list within one domain (hand results across domains only
-    after a join), as the memo caches are unsynchronized. *)
+(** Immutable: the sorted level arrays and nothing else.  Every query is
+    computed on demand from the levels, so a value can be shared between
+    domains freely.  Unchanged levels are shared structurally between
+    values. *)
 
 val empty : t
 (** The list with no levels (never sent; useful as a fold seed in tests). *)
@@ -76,7 +73,7 @@ val mark_at : t -> int -> Node_id.t -> Mark.t option
 
 val mem_clear : t -> Node_id.t -> bool
 (** Some occurrence of the id, at any level, is unmarked — one binary
-    search per level, no memo cache. *)
+    search per level, no allocation. *)
 
 val first_level : t -> Node_id.t -> int
 (** Level of the id's first (closest) occurrence, whatever its mark; -1
@@ -91,17 +88,21 @@ val fold_entries :
     materializing the entry list. *)
 
 val mem : t -> Node_id.t -> bool
+(** [first_level t id >= 0]; allocation-free. *)
 
 val find : t -> Node_id.t -> (int * Mark.t) option
-(** Position and mark of a node, if present. *)
+(** Position and mark of the id's first (closest) occurrence, if present:
+    {!first_level} plus one binary search.  Allocates only its result. *)
 
 val ids : t -> Node_id.Set.t
+(** Every id, marked or not — a fold over the entries, built per call. *)
 
 val clear_ids : t -> Node_id.Set.t
-(** Ids of unmarked entries only. *)
+(** Ids of unmarked entries only; built per call like {!ids}. *)
 
 val entries : t -> (Node_id.t * int * Mark.t) list
-(** All entries as [(id, position, mark)], position-major order. *)
+(** All entries as [(id, position, mark)], position-major order; built
+    per call (prefer {!fold_entries} on hot paths). *)
 
 val strip_marked : keep:Node_id.t -> t -> t
 (** Remove marked entries except those whose id is [keep] (the receiver
@@ -152,14 +153,6 @@ val restrict_clear : t -> t
 val well_formed : t -> bool
 (** Invariant of lists produced by [compute]: no duplicate ids across
     levels, no empty levels, marked entries only at positions 0 or 1. *)
-
-val warm : t -> unit
-(** Populate every memo cache ({!mem}'s index, {!ids}, {!clear_ids},
-    {!entries}) now.  The caches are write-once and need no
-    synchronization {e within} one domain; a value about to be shared
-    {e across} domains (a boundary message in a sharded run) must have
-    them populated by its owner first, so that every later access is a
-    plain read. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

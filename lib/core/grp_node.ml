@@ -355,14 +355,13 @@ let foreign_view_extent t ~sender_view lst =
      list, i.e. they are physically adjacent, so a sender echoing them back
      is not stretching the merge.  One max-tracking pass; -1 encodes "no
      foreign member" without materializing the position list. *)
-  let my_ids = Antlist.ids t.antlist in
   let best =
     Antlist.fold_entries lst ~init:(-1) ~f:(fun best v pos mark ->
         if
           mark = Mark.Clear
           && Node_id.Set.mem v sender_view
           && (not (Node_id.equal v t.id))
-          && not (Node_id.Set.mem v my_ids)
+          && Antlist.first_level t.antlist v < 0
         then max best pos
         else best)
   in
@@ -987,9 +986,11 @@ let update_priorities t lst ~clock =
   | Config.Lowest_id -> ());
   (* Forget priorities of nodes that left the list: collect, then remove
      (removal is not allowed mid-iteration). *)
-  let keep = Node_id.Set.add t.id (Antlist.ids lst) in
   let sc = Domain.DLS.get scratch_key in
-  Itbl.iter (fun v _ -> if not (Node_id.Set.mem v keep) then buf_push sc v) t.prio_table;
+  Itbl.iter
+    (fun v _ ->
+      if not (Node_id.equal v t.id || Antlist.first_level lst v >= 0) then buf_push sc v)
+    t.prio_table;
   for i = 0 to sc.len - 1 do
     Itbl.remove t.prio_table sc.buf.(i)
   done;
@@ -1008,12 +1009,10 @@ let emit_transitions t ~old_list ~old_q ~new_list =
     | Mark.Clear -> "clear"
   in
   let old_marks =
-    List.fold_left
-      (fun acc (v, _, m) -> Node_id.Map.add v m acc)
-      Node_id.Map.empty (Antlist.entries old_list)
+    Antlist.fold_entries old_list ~init:Node_id.Map.empty ~f:(fun acc v _ m ->
+        Node_id.Map.add v m acc)
   in
-  List.iter
-    (fun (v, _, m) ->
+  Antlist.fold_entries new_list ~init:() ~f:(fun () v _ m ->
       if not (Node_id.equal v t.id) then
         let old_m = Node_id.Map.find_opt v old_marks in
         match m with
@@ -1031,8 +1030,7 @@ let emit_transitions t ~old_list ~old_q ~new_list =
                      peer = v;
                      mark = mark_name m;
                      cause = lid_of_sender t v;
-                   }))
-    (Antlist.entries new_list);
+                   }));
   Node_id.Map.iter
     (fun v k ->
       if not (Node_id.equal v t.id) then
@@ -1149,13 +1147,11 @@ let compute t =
     end
   end;
   (* Preserve physical identity when nothing changed: the stable list is
-     re-broadcast as-is, so its memo caches (the id set [make_message]
-     reads) carry over and next round's equality check here is a pointer
-     comparison. *)
+     re-broadcast as the value the node already holds, and the fresh equal
+     copy dies young instead of being promoted through this long-lived
+     record — the steady state then allocates no list in the major heap. *)
   t.antlist <- (if Antlist.equal final_list old_list then old_list else final_list);
   t.view <- (if Node_id.Set.equal new_view old_view then old_view else new_view);
-  (* [t.antlist] equals [final_list]; reading the kept value reuses its
-     id-set memo, which [make_message] needs next anyway. *)
   update_priorities t t.antlist ~clock;
   t.msg_set <- Node_id.Map.empty;
   let view_added = Node_id.Set.diff new_view old_view in
@@ -1176,12 +1172,10 @@ let compute t =
 
 let make_message t =
   let priorities =
-    Node_id.Set.fold
-      (fun v acc ->
+    Antlist.fold_entries t.antlist ~init:Node_id.Map.empty ~f:(fun acc v _ _ ->
         match Itbl.find t.prio_table v with
         | p -> Node_id.Map.add v p acc
         | exception Not_found -> acc)
-      (Antlist.ids t.antlist) Node_id.Map.empty
   in
   Message.make ~sender:t.id ~antlist:t.antlist ~priorities
     ~group_priority:(group_priority t) ~view:t.view

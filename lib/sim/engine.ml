@@ -62,6 +62,7 @@ type 'msg t = {
   mutable backlog : int;
   mutable next_seq : int;
   mutable next_id : int;
+  mutable fired : int;
 }
 
 let create ?(start = 0.0) ?(trace = Trace.null) ?(metrics = Registry.null) () =
@@ -95,10 +96,12 @@ let create ?(start = 0.0) ?(trace = Trace.null) ?(metrics = Registry.null) () =
     backlog = 0;
     next_seq = 0;
     next_id = 0;
+    fired = 0;
   }
 
 let now t = t.clock.(0)
 let trace t = t.trace
+let fired t = t.fired
 let set_deliver t f = t.on_deliver <- f
 
 let grow t =
@@ -229,6 +232,7 @@ let consume t slot =
   else begin
     t.clock.(0) <- t.cal_lt.(0);
     Registry.Counter.incr t.m_fire;
+    t.fired <- t.fired + 1;
     if Trace.enabled t.trace then begin
       let time = t.clock.(0) in
       Trace.set_time t.trace time;

@@ -51,6 +51,11 @@ val trace : 'msg t -> Dgs_trace.Trace.t
 (** The sink the engine was created with ({!Dgs_trace.Trace.null} when
     tracing is off). *)
 
+val fired : 'msg t -> int
+(** Callbacks run so far (thunks and deliveries); cancelled entries
+    reclaimed without firing are not counted.  Equals the number of
+    [Event_fired] trace events, whether or not tracing is on. *)
+
 val schedule_at : 'msg t -> float -> (unit -> unit) -> event_id
 (** Raises [Invalid_argument] when scheduling in the past. *)
 
@@ -102,5 +107,5 @@ val run_all : 'msg t -> max_events:int -> unit
     guard.  Cancelled entries reclaimed without firing count against the
     budget too — the guard bounds agenda {e work}, not just callbacks run —
     so a long cancelled prefix cannot do unbounded pops within it.  (The
-    [dgs_check] fire-budget oracle is unaffected: it counts [Event_fired]
-    trace events, which skipped entries never emit.) *)
+    [dgs_check] fire-budget oracle is unaffected: it reads {!fired}, which
+    skipped entries never bump.) *)

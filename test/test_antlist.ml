@@ -408,6 +408,92 @@ let prop_one_pass_fold_matches_chain =
         (fun ls -> Antlist.equal (fold_one_pass self ls) (fold_chain self ls))
         [ ls; List.rev ls ])
 
+(* --- on-demand queries vs a plain-list reference --- *)
+
+(* Every query answers straight from the level arrays; the reference
+   re-derives each one from [levels] by list scans, on arbitrary inputs:
+   cross-level duplicates, interior empty levels and deep marks included. *)
+let queries_match_reference l =
+  let ref_entries =
+    List.concat
+      (List.mapi
+         (fun pos lvl -> List.map (fun e -> (e.Antlist.id, pos, e.Antlist.mark)) lvl)
+         (Antlist.levels l))
+  in
+  let ref_find id =
+    List.find_map (fun (v, pos, m) -> if v = id then Some (pos, m) else None) ref_entries
+  in
+  let set_of p =
+    Node_id.Set.of_list
+      (List.filter_map (fun (v, _, m) -> if p m then Some v else None) ref_entries)
+  in
+  let ref_ids = set_of (fun _ -> true) in
+  let ref_well_formed =
+    List.for_all (fun lvl -> lvl <> []) (Antlist.levels l)
+    && List.length ref_entries = Node_id.Set.cardinal ref_ids
+    && List.for_all (fun (_, pos, m) -> pos <= 1 || m = Mark.Clear) ref_entries
+  in
+  let probe id =
+    Antlist.find l id = ref_find id
+    && Antlist.mem l id = (ref_find id <> None)
+    && Antlist.first_level l id
+       = (match ref_find id with Some (pos, _) -> pos | None -> -1)
+    && Antlist.mem_clear l id
+       = List.exists (fun (v, _, m) -> v = id && m = Mark.Clear) ref_entries
+  in
+  List.for_all probe (List.init 12 (fun i -> i - 1))
+  && Node_id.Set.equal (Antlist.ids l) ref_ids
+  && Node_id.Set.equal (Antlist.clear_ids l) (set_of (fun m -> m = Mark.Clear))
+  && Antlist.entries l = ref_entries
+  && Antlist.well_formed l = ref_well_formed
+
+let prop_queries_match_reference =
+  QCheck.Test.make ~name:"find/mem/ids/clear_ids/entries/well_formed = list reference"
+    ~count:2000
+    (QCheck.make ~print:Antlist.to_string
+       QCheck.Gen.(
+         frequency
+           [
+             (3, gen_raw_antlist);
+             (1, map (fun seed -> Arbitrary.antlist (Rng.create seed)) nat);
+             (1, map (fun seed -> Arbitrary.well_formed_antlist (Rng.create seed)) nat);
+           ]))
+    queries_match_reference
+
+(* The point queries sit on the admission path, once per entry of every
+   received list: hits, misses and out-of-range levels allocate nothing,
+   and [find] allocates exactly its [Some (pos, mark)] (3 + 2 words). *)
+let test_queries_allocate_nothing () =
+  let l =
+    Antlist.of_levels
+      [
+        [ (0, Mark.Clear) ];
+        [ (1, Mark.Clear); (4, Mark.Single); (7, Mark.Double) ];
+        [ (2, Mark.Clear); (4, Mark.Clear); (9, Mark.Clear) ];
+      ]
+  in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for k = 0 to 999 do
+    let id = (k mod 12) - 1 in
+    for i = -1 to 3 do
+      match Antlist.mark_at l i id with Some _ -> incr hits | None -> ()
+    done;
+    hits := !hits + Antlist.first_level l id;
+    if Antlist.mem_clear l id then incr hits;
+    if Antlist.mem l id then incr hits;
+    match Antlist.find l (id + 100) with Some _ -> incr hits | None -> ()
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "minor words delta" 0.0 delta;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    match Antlist.find l 4 with Some (pos, _) -> hits := !hits + pos | None -> ()
+  done;
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "find hit: its result only" 5000.0 delta;
+  check "queries ran" true (!hits > 0)
+
 (* Folds reuse the domain's scratch: a large fold followed by a small one
    must not leak slots or level counts into the second. *)
 let test_fold_scratch_reuse () =
@@ -496,7 +582,12 @@ let suite =
     ("one-pass fold reuses scratch", `Quick, test_fold_scratch_reuse);
     ("level binary search", `Quick, test_mark_at);
     ("sorted-array disjointness", `Quick, test_disjoint_sorted);
+    ("point queries allocate nothing", `Quick, test_queries_allocate_nothing);
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_one_pass_fold_matches_chain; prop_disjoint_sorted_matches_set ]
+      [
+        prop_one_pass_fold_matches_chain;
+        prop_queries_match_reference;
+        prop_disjoint_sorted_matches_set;
+      ]
   @ qcheck_suite @ arbitrary_suite

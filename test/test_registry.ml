@@ -266,7 +266,7 @@ let test_counters_match_trace () =
   in
   let counting = Trace.Counting.create () in
   let reg = Registry.create () in
-  ignore (Executor.run ~trace:(Trace.Counting.sink counting) ~metrics:reg sc);
+  let report = Executor.run ~trace:(Trace.Counting.sink counting) ~metrics:reg sc in
   let s = Registry.snapshot reg in
   let counter name = List.assoc name s.Registry.counters in
   let traced kind = Trace.Counting.count counting ~kind in
@@ -285,6 +285,12 @@ let test_counters_match_trace () =
       (Names.engine_fire_total, "Event_fired");
       (Names.engine_schedule_total, "Event_scheduled");
     ];
+  (* The oracle's fire count is the engine's own, with or without a
+     trace attached. *)
+  check_int "report.engine_fires = #Event_fired" (traced "Event_fired")
+    report.Dgs_check.Oracle.engine_fires;
+  check_int "engine_fires does not depend on tracing" report.Dgs_check.Oracle.engine_fires
+    (Executor.run sc).Dgs_check.Oracle.engine_fires;
   check "computes happened" true (counter Names.grp_compute_total > 0);
   check_int "cache hits + misses = computes"
     (counter Names.grp_compute_total)

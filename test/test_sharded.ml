@@ -217,13 +217,13 @@ let test_vanet_jobs_smoke () =
    through the full admission, fold and contest path) for 20 rounds at
    seed 1, measured around [Sharded.round] on one domain.  The words also
    cover the executor's broadcast and delivery, which are allocation-free
-   per copy.  Measured with the allocation-lean compute() (one-pass ant
-   fold, flat admission and contest): 21,212 words per compute, against
-   99,813 with the previous chain of [Antlist.ant] calls.  The budget is
-   1.25x the measured value, 26,515 words, so a change that re-inflates
-   the hot path fails here.  Allocation counts are deterministic for a
-   fixed seed. *)
-let compute_words_measured = 21_212.0
+   per copy.  Measured with cache-free [Antlist] values and closure-free
+   level searches: 17,261 words per compute, against 21,212 with the
+   per-list memo caches and 99,813 with the chain of [Antlist.ant] calls
+   that preceded the one-pass fold.  The budget is 1.25x the measured
+   value, 21,576 words, so a change that re-inflates the hot path fails
+   here.  Allocation counts are deterministic for a fixed seed. *)
+let compute_words_measured = 17_261.0
 let compute_words_budget = 1.25 *. compute_words_measured
 
 let test_compute_allocation_budget () =
